@@ -36,9 +36,13 @@ def transport_density(fan, rho0="1"):
         return vals[None, :] * np.exp(-fan.a_int) / np.abs(fan.J)
 
 
-def _friction_at_shock(fan, x_s, p_l, p_r, c, t):
-    """Damping coefficient entering the amplitude balance at the shock."""
-    a_mode = fan.a_mode
+def _friction_at_shock(fan, x_s, p_l, p_r, c, t, a_mode=None):
+    """Damping felt by a point mass on the path, matching the bulk transport.
+
+    a_mode overrides the fan's own damping mode.
+    """
+    if a_mode is None:
+        a_mode = fan.a_mode
     if a_mode == "auto":
         p_bar = 0.5 * (np.asarray(p_l) + np.asarray(p_r))
         return -symbol.eval_d2P_dxdp(fan.symbol, x_s, p_bar, t) + 0.0 * p_bar
@@ -66,10 +70,7 @@ class GeneralizedDensity:
         return expr.evaluate(self.rho0, x=x0, t=0.0) + np.zeros_like(x0)
 
     def curve_at(self, t):
-        try:
-            return manifold.slice_fan(self.fan, t)
-        except Exception:
-            return manifold.slice_dense(self.fan, t)
+        return manifold.slice_dense(self.fan, t)
 
     def regular(self, t, x):
         """Regular density at points x: essential-branch divided Jacobian."""
@@ -83,23 +84,13 @@ class GeneralizedDensity:
         pointwise.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        curve = self.curve_at(t)
-        ess = manifold.essential(curve, x)
-        R = np.empty_like(ess.S)
-        x0 = np.empty_like(ess.S)
-        for bid in np.unique(ess.branch_id):
-            b = curve.branches[bid]
-            mask = ess.branch_id == bid
-            J = np.atleast_1d(b.interp("J", x[mask]))
-            if np.any(np.abs(J) < J_CONTACT_TOL):
-                raise DensityError(
-                    f"evaluation touches a fold(|J| < {J_CONTACT_TOL:g}) "
-                    f"at t={float(t):g}")
-            aint = b.interp("a_int", x[mask])
-            x0v = b.interp("x0", x[mask])
-            x0[mask] = x0v
-            R[mask] = self.rho0_at(x0v) * np.exp(-aint) / np.abs(J)
-        return {"R": R, "S": ess.S, "p": ess.p, "u": ess.u, "x0": x0,
+        ess = manifold.essential(self.curve_at(t), x)
+        if np.any(np.abs(ess.J) < J_CONTACT_TOL):
+            raise DensityError(
+                f"evaluation touches a fold(|J| < {J_CONTACT_TOL:g}) "
+                f"at t={float(t):g}")
+        R = self.rho0_at(ess.x0) * np.exp(-ess.a_int) / np.abs(ess.J)
+        return {"R": R, "S": ess.S, "p": ess.p, "u": ess.u, "x0": ess.x0,
                 "branch_id": ess.branch_id}
 
     def shock_masses(self, t):

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
-from . import symbol
+from . import characteristics, symbol
 
 TIE_TOL = 1e-9  # action ties resolved toward smaller |p|, then branch index
 
@@ -33,7 +33,8 @@ class AdmissibilityError(ManifoldError):
     pass
 
 
-_CURVE_FIELDS = ("x", "p", "S", "J", "a_int")
+# columns of a branch interpolant, in order
+_CURVE_FIELDS = ("S", "p", "J", "a_int", "x0")
 
 
 @dataclass
@@ -43,27 +44,38 @@ class Branch:
     sign: float            # sign of J on the branch
     x_lo: float
     x_hi: float
-    curve: object = field(repr=False)
-    _interp: dict = field(default_factory=dict, repr=False)
+    # the parent curve's x and _CURVE_FIELDS arrays; holding them rather than
+    # the curve keeps curve and branches free of a reference cycle, so a
+    # dense slice is freed as soon as its last user drops it
+    data: tuple = field(repr=False)
+    _fn: object = field(default=None, repr=False)
 
     def covers(self, x):
         return (x >= self.x_lo) & (x <= self.x_hi)
 
-    def interp(self, name, x):
-        """Monotone piecewise-cubic interpolation of a curve field over x."""
-        fn = self._interp.get(name)
-        if fn is None:
-            xs = self.curve.x[self.rows]
-            vals = (self.curve.x0 if name == "x0" else getattr(self.curve, name))[self.rows]
+    def values(self, x):
+        """Monotone piecewise-cubic interpolation of every curve field over x.
+
+        One multi-column interpolant per branch; the last axis of the result
+        follows _CURVE_FIELDS.  PCHIP slopes are taken column by column, so
+        each column equals a single-field build bit for bit.
+        """
+        if self._fn is None:
+            xs, *cols = (a[self.rows] for a in self.data)
+            vals = np.stack(cols, axis=-1)
             if xs[0] > xs[-1]:
                 xs, vals = xs[::-1], vals[::-1]
             if xs.size >= 2:
-                fn = PchipInterpolator(xs, vals, extrapolate=False)
+                self._fn = PchipInterpolator(xs, vals, axis=0,
+                                             extrapolate=False)
             else:  # degenerate stump; constant
-                c = float(vals[0])
-                fn = lambda q: np.full_like(np.asarray(q, dtype=float), c)
-            self._interp[name] = fn
-        return fn(x)
+                c = vals[0]
+                self._fn = lambda q: np.tile(c, np.shape(q) + (1,))
+        return self._fn(x)
+
+    def interp(self, name, x):
+        """One curve field at x (see `values`)."""
+        return self.values(x)[..., _CURVE_FIELDS.index(name)]
 
 
 @dataclass
@@ -95,44 +107,33 @@ class LagrangianCurve:
 def _decompose(curve):
     J = curve.J
     x = curve.x
-    n = J.size
     signs = np.sign(J)
+    s0, s1 = signs[:-1], signs[1:]
+    # a branch run continues while J keeps its sign and the projection stays
+    # monotone in the sign direction (a NaN step does not break it); zero-J
+    # samples never join a run
+    cont = (s1 == s0) & ~((x[1:] - x[:-1]) * s0 <= 0)
+    starts = np.flatnonzero(np.concatenate(([True], ~cont)))
+    stops = np.append(starts[1:], J.size)
+    keep = (stops - starts >= 2) & (signs[starts] != 0)  # at least 2 samples
+    data = (x,) + tuple(getattr(curve, name) for name in _CURVE_FIELDS)
     branches = []
-    folds = []
-    i = 0
-    prev_branch_end = -1
-    while i < n:
-        if signs[i] == 0:
-            i += 1
-            continue
-        s = signs[i]
-        j = i
-        while j + 1 < n and signs[j + 1] == s:
-            # also require monotone projection in the sign direction
-            if (x[j + 1] - x[j]) * s <= 0:
-                break
-            j += 1
-        if j > i:  # at least 2 samples
-            b = Branch(index=len(branches), rows=slice(i, j + 1), sign=float(s),
-                       x_lo=float(min(x[i], x[j])), x_hi=float(max(x[i], x[j])),
-                       curve=curve)
-            branches.append(b)
-        i = j + 1
+    for i, j in zip(starts[keep].tolist(), (stops[keep] - 1).tolist()):
+        branches.append(Branch(index=len(branches), rows=slice(i, j + 1),
+                               sign=float(signs[i]),
+                               x_lo=float(min(x[i], x[j])),
+                               x_hi=float(max(x[i], x[j])), data=data))
     # fold points: sign changes between adjacent samples
-    for k in range(n - 1):
-        if signs[k] != 0 and signs[k + 1] != 0 and signs[k] != signs[k + 1]:
-            w = J[k] / (J[k] - J[k + 1])
-            x0z = curve.x0[k] + w * (curve.x0[k + 1] - curve.x0[k])
-            xz = x[k] + w * (x[k + 1] - x[k])
-            bl = br = -1
-            for b in branches:
-                if b.rows.stop - 1 == k:
-                    bl = b.index
-                if b.rows.start == k + 1:
-                    br = b.index
-            folds.append(FoldPoint(float(x0z), float(xz), bl, br))
+    k = np.flatnonzero((s0 != 0) & (s1 != 0) & (s0 != s1))
+    w = J[k] / (J[k] - J[k + 1])
+    x0z = curve.x0[k] + w * (curve.x0[k + 1] - curve.x0[k])
+    xz = x[k] + w * (x[k + 1] - x[k])
+    ends_at = {b.rows.stop - 1: b.index for b in branches}
+    starts_at = {b.rows.start: b.index for b in branches}
     curve.branches = branches
-    curve.folds = folds
+    curve.folds = [FoldPoint(float(a), float(b), ends_at.get(kk, -1),
+                             starts_at.get(kk + 1, -1))
+                   for a, b, kk in zip(x0z, xz, k.tolist())]
     return curve
 
 
@@ -168,7 +169,7 @@ def slice_dense(fan, t):
     """Curve at an arbitrary time via Hermite dense output (not cached)."""
     try:
         return slice_fan(fan, t)
-    except Exception:
+    except characteristics.CharacteristicsError:
         return _curve_from_state(fan, t, fan.state_at(t))
 
 
@@ -180,22 +181,25 @@ class EssentialSolution:
     p: np.ndarray
     u: np.ndarray
     branch_id: np.ndarray
+    J: np.ndarray = None      # the minimizing branch's J, a_int and label
+    a_int: np.ndarray = None
+    x0: np.ndarray = None
 
 
 def essential(curve, x_grid):
     """Branchwise minimal action over x_grid with deterministic tie rules."""
     x = np.asarray(x_grid, dtype=float)
-    best_S = np.full(x.shape, np.inf)
-    best_p = np.full(x.shape, np.nan)
+    best = np.full((len(_CURVE_FIELDS),) + x.shape, np.nan)  # field rows
+    best[0] = np.inf
     best_b = np.full(x.shape, -1, dtype=int)
     for b in curve.branches:
         mask = b.covers(x)
         if not np.any(mask):
             continue
-        S_b = b.interp("S", x[mask])
-        p_b = b.interp("p", x[mask])
-        cur_S = best_S[mask]
-        cur_p = best_p[mask]
+        vals = b.values(x[mask]).T
+        S_b, p_b = vals[0], vals[1]
+        cur_S = best[0, mask]
+        cur_p = best[1, mask]
         tol = TIE_TOL * (1.0 + np.abs(S_b))
         better = S_b < cur_S - tol
         tie = np.abs(S_b - cur_S) <= tol
@@ -203,16 +207,16 @@ def essential(curve, x_grid):
             better |= tie & (np.abs(p_b) < np.abs(cur_p) - TIE_TOL)
         if np.any(better):
             idx = np.nonzero(mask)[0][better]
-            best_S[idx] = S_b[better]
-            best_p[idx] = p_b[better]
+            best[:, idx] = vals[:, better]
             best_b[idx] = b.index
     missing = best_b < 0
     if np.any(missing):
         raise UncoveredPointError(x[missing])
-    u = symbol.eval_dP_dp(curve.symbol, x, best_p, curve.t)
-    return EssentialSolution(t=curve.t, x=x, S=best_S, p=best_p,
+    S, p, J, a_int, x0 = best
+    u = symbol.eval_dP_dp(curve.symbol, x, p, curve.t)
+    return EssentialSolution(t=curve.t, x=x, S=S, p=p,
                              u=np.asarray(u, dtype=float) + np.zeros_like(x),
-                             branch_id=best_b)
+                             branch_id=best_b, J=J, a_int=a_int, x0=x0)
 
 
 # ---------------------------------------------------------------------------
@@ -435,13 +439,7 @@ def _fold_midpoint(curve, x_guess):
 
 
 def _one_sided(curve, branch, x):
-    return {
-        "p": float(branch.interp("p", x)),
-        "x0": float(branch.interp("x0", x)),
-        "J": float(branch.interp("J", x)),
-        "a_int": float(branch.interp("a_int", x)),
-        "S": float(branch.interp("S", x)),
-    }
+    return {name: float(v) for name, v in zip(_CURVE_FIELDS, branch.values(x))}
 
 
 class _Tracker:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import characteristics, expr, manifold, symbol
+from . import characteristics, density, manifold, symbol
 
 SUITE_LEVELS = (5, 6, 7)
 
@@ -71,17 +71,6 @@ def _simpson_weights(panels, length):
     return w * (length / (3.0 * panels))
 
 
-def _friction(m, a_mode, x_s, p_l, p_r, c, t):
-    """Damping felt by a point mass on the path, matching the bulk transport."""
-    if a_mode == "auto":
-        p_bar = 0.5 * (np.asarray(p_l) + np.asarray(p_r))
-        return -symbol.eval_d2P_dxdp(m, np.asarray(x_s), p_bar, t) + 0.0 * p_bar
-    if isinstance(a_mode, str):
-        a_mode = expr.parse(a_mode, allowed_names=("x", "u"))
-    return expr.evaluate(a_mode, x=np.asarray(x_s), u=np.asarray(c)) \
-        + 0.0 * np.asarray(x_s)
-
-
 def _extended_path(gd, rec):
     """Path arrays stretched to the record's full life.
 
@@ -118,21 +107,57 @@ def _extended_path(gd, rec):
     return {k: np.concatenate(v) for k, v in cols.items()}
 
 
+def _segment_grid(edges, panels, nudge):
+    """Simpson nodes, weights and field query points over the x-segments.
+
+    Segment k spans edges[2k]..edges[2k+1]; a query end that sits on a cut
+    is nudged into its own segment.
+    """
+    nodes = []
+    weights = []
+    queries = []
+    for k in range(0, len(edges), 2):
+        seg = np.linspace(edges[k], edges[k + 1], panels + 1)
+        q = seg.copy()
+        if k > 0:
+            q[0] += nudge
+        if k + 2 < len(edges):
+            q[-1] -= nudge
+        nodes.append(seg)
+        queries.append(q)
+        weights.append(_simpson_weights(panels, edges[k + 1] - edges[k]))
+    return (np.concatenate(nodes), np.concatenate(weights),
+            np.concatenate(queries))
+
+
 def identity_residual(gd, zeta, level, u_field=None, a_mode=None,
                       e_scale=1.0, e_scale_ids=None):
     """Absolute value of the weak-form pairing for one test function.
+
+    The single-level case of `identity_residuals`, which documents the
+    arguments.
+    """
+    return identity_residuals(gd, zeta, (level,), u_field, a_mode, e_scale,
+                              e_scale_ids)[0]
+
+
+def identity_residuals(gd, zeta, levels, u_field=None, a_mode=None,
+                       e_scale=1.0, e_scale_ids=None):
+    """Absolute weak-form pairings for one test function, one per level.
 
     The bulk term pairs the regular density R against
     zeta_t + u zeta_x - a zeta over the support, with the x-integral split
     at shock positions so each Simpson segment sees smooth fields; the line
     term rides each shock path pairing the amplitude against the same
     operator along the path.  Both use composite Simpson at 2^level panels
-    per axis.  u_field and a_mode default to the candidate's own velocity
-    field and damping; e_scale (optionally restricted to the ids in
-    e_scale_ids) perturbs amplitudes to measure sensitivity.
+    per axis.  The levels share one pass over their time nodes: a node common
+    to several levels takes one field query, split afterwards, and each
+    level still sums its own terms in time order.  u_field and a_mode
+    default to the candidate's own velocity field and damping; e_scale
+    (optionally restricted to the ids in e_scale_ids) perturbs amplitudes to
+    measure sensitivity.
     """
     fan = gd.fan
-    panels = 2 ** int(level)
     t_lo, t_hi = zeta.t_c - zeta.r_t, zeta.t_c + zeta.r_t
     x_lo, x_hi = zeta.x_c - zeta.r_x, zeta.x_c + zeta.r_x
     if t_lo < -1e-15 or t_hi > float(fan.times[-1]) + 1e-9:
@@ -145,15 +170,19 @@ def identity_residual(gd, zeta, level, u_field=None, a_mode=None,
             if rec.times is not None and rec.times.size]
     paths = [_extended_path(gd, rec) for rec in live]
     scale_all = e_scale_ids is None
+    panels = [2 ** int(level) for level in levels]
 
-    total = 0.0
-    t_nodes = np.linspace(t_lo, t_hi, panels + 1)
-    w_t = _simpson_weights(panels, t_hi - t_lo)
+    totals = [0.0] * len(panels)
+    at_t = {}  # time node -> (level slot, Simpson weight) of every level on it
+    for j, n in enumerate(panels):
+        for t, wt in zip(np.linspace(t_lo, t_hi, n + 1),
+                         _simpson_weights(n, t_hi - t_lo)):
+            at_t.setdefault(t, []).append((j, wt))
     # the segment endpoints sit exactly on the cuts; only the field queries
     # are nudged one-sidedly, past the equal-action tie window in which the
     # minimal-action selection would pick the wrong side of the jump
     nudge = 1e-6 * max(1.0, abs(x_lo), abs(x_hi))
-    for t, wt in zip(t_nodes, w_t):
+    for t in sorted(at_t):
         cuts = []
         for path in paths:
             if path["t"][0] - 1e-12 <= t <= path["t"][-1] + 1e-12:
@@ -165,52 +194,45 @@ def identity_residual(gd, zeta, level, u_field=None, a_mode=None,
             if cut - edges[-1] > 4 * nudge:  # coincident cuts (merge instant)
                 edges.extend([cut, cut])
         edges.append(x_hi)
-        nodes = []
-        weights = []
-        queries = []
-        for k in range(0, len(edges), 2):
-            seg = np.linspace(edges[k], edges[k + 1], panels + 1)
-            q = seg.copy()
-            if k > 0:
-                q[0] += nudge
-            if k + 2 < len(edges):
-                q[-1] -= nudge
-            nodes.append(seg)
-            queries.append(q)
-            weights.append(_simpson_weights(panels, edges[k + 1] - edges[k]))
-        x_all = np.concatenate(nodes)
-        w_all = np.concatenate(weights)
+        grids = [(j, wt, *_segment_grid(edges, panels[j], nudge))
+                 for j, wt in at_t[t]]
         try:
-            f = gd.fields(t, np.concatenate(queries))
+            f = gd.fields(t, np.concatenate([q for *_, q in grids]))
         except manifold.UncoveredPointError as exc:
             raise VerifyError(f"bump support clips the covered region: {exc}")
-        u = f["u"] if u_field is None \
-            else np.asarray(u_field(t, x_all), dtype=float)
-        a = a_eval(x_all, f["p"], u, t) + np.zeros_like(x_all)
-        integrand = f["R"] * (zeta.d_t(x_all, t) + u * zeta.d_x(x_all, t)
-                              - a * zeta.value(x_all, t))
-        total += wt * float(np.dot(w_all, integrand))
+        stop = 0
+        for j, wt, x_all, w_all, _ in grids:
+            part = slice(stop, stop + x_all.size)
+            stop = part.stop
+            u = f["u"][part] if u_field is None \
+                else np.asarray(u_field(t, x_all), dtype=float)
+            a = a_eval(x_all, f["p"][part], u, t) + np.zeros_like(x_all)
+            integrand = f["R"][part] * (zeta.d_t(x_all, t)
+                                        + u * zeta.d_x(x_all, t)
+                                        - a * zeta.value(x_all, t))
+            totals[j] += wt * float(np.dot(w_all, integrand))
 
-    for rec, path in zip(live, paths):
-        s_lo = max(t_lo, float(path["t"][0]))
-        s_hi = min(t_hi, float(path["t"][-1]))
-        if s_hi - s_lo <= 1e-14:
-            continue
-        tt = np.linspace(s_lo, s_hi, panels + 1)
-        ww = _simpson_weights(panels, s_hi - s_lo)
-        x_s = np.interp(tt, path["t"], path["x"])
-        c = np.interp(tt, path["t"], path["c"])
-        e = np.interp(tt, path["t"], path["e"])
-        if e_scale != 1.0 and (scale_all or rec.id in set(e_scale_ids)):
-            e = e * e_scale
-        p_l = np.interp(tt, path["t"], path["p_l"])
-        p_r = np.interp(tt, path["t"], path["p_r"])
-        fr = _friction(fan.symbol, mode, x_s, p_l, p_r, c, tt) \
-            + np.zeros_like(tt)
-        integrand = e * (zeta.d_t(x_s, tt) + c * zeta.d_x(x_s, tt)
-                         - fr * zeta.value(x_s, tt))
-        total += float(np.dot(ww, integrand))
-    return abs(total)
+    for j, n in enumerate(panels):
+        for rec, path in zip(live, paths):
+            s_lo = max(t_lo, float(path["t"][0]))
+            s_hi = min(t_hi, float(path["t"][-1]))
+            if s_hi - s_lo <= 1e-14:
+                continue
+            tt = np.linspace(s_lo, s_hi, n + 1)
+            ww = _simpson_weights(n, s_hi - s_lo)
+            x_s = np.interp(tt, path["t"], path["x"])
+            c = np.interp(tt, path["t"], path["c"])
+            e = np.interp(tt, path["t"], path["e"])
+            if e_scale != 1.0 and (scale_all or rec.id in set(e_scale_ids)):
+                e = e * e_scale
+            p_l = np.interp(tt, path["t"], path["p_l"])
+            p_r = np.interp(tt, path["t"], path["p_r"])
+            fr = density._friction_at_shock(fan, x_s, p_l, p_r, c, tt, mode) \
+                + np.zeros_like(tt)
+            integrand = e * (zeta.d_t(x_s, tt) + c * zeta.d_x(x_s, tt)
+                             - fr * zeta.value(x_s, tt))
+            totals[j] += float(np.dot(ww, integrand))
+    return [abs(total) for total in totals]
 
 
 @dataclass
@@ -331,10 +353,8 @@ def identity_suite(gd, count, seed, levels=SUITE_LEVELS):
         kinds.append("random")
         placed += 1
 
-    residuals = np.empty((len(bumps), len(levels)))
-    for i, zeta in enumerate(bumps):
-        for j, lev in enumerate(levels):
-            residuals[i, j] = identity_residual(gd, zeta, lev)
+    residuals = np.array([identity_residuals(gd, zeta, levels)
+                          for zeta in bumps])
     if not np.all(np.isfinite(residuals)):
         raise VerifyError("non-finite identity residual")
     orders = np.full_like(residuals, np.nan)

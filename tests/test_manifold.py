@@ -208,3 +208,125 @@ def test_shock_tracking_deterministic(tanh_fan):
     r2 = manifold.track_shocks(tanh_fan)[0]
     assert np.array_equal(r1.x_s, r2.x_s)
     assert np.array_equal(r1.p_l, r2.p_l)
+
+
+# ---------------------------------------------------------------------------
+# slice layer: multi-column interpolants and the vectorized decomposition
+
+
+def _one_branch(x, cols):
+    """A branch over all of x carrying the _CURVE_FIELDS columns cols."""
+    return manifold.Branch(index=0, rows=slice(0, x.size), sign=1.0,
+                           x_lo=float(np.min(x)), x_hi=float(np.max(x)),
+                           data=(x,) + tuple(cols))
+
+
+@pytest.mark.parametrize("order", ["increasing", "reversed"])
+def test_multi_column_pchip_matches_per_column(order):
+    # PCHIP slopes are column-local, so one stacked build must reproduce
+    # single-field builds bit for bit
+    from scipy.interpolate import PchipInterpolator
+    rng = np.random.default_rng(17)
+    for n in (2, 3, 5, 40, 801):
+        x = np.cumsum(rng.uniform(1e-3, 1.0, n))
+        cols = [rng.normal(size=n) for _ in manifold._CURVE_FIELDS]
+        cols[0] = np.cumsum(np.abs(cols[0]))  # one monotone column
+        if order == "reversed":
+            x, cols = x[::-1], [c[::-1] for c in cols]
+        b = _one_branch(x, cols)
+        q = np.concatenate([rng.uniform(b.x_lo - 0.5, b.x_hi + 0.5, 300),
+                            x, [b.x_lo, b.x_hi]])
+        vals = b.values(q)
+        assert vals.shape == (q.size, len(manifold._CURVE_FIELDS))
+        xs = x if order == "increasing" else x[::-1]
+        for k, name in enumerate(manifold._CURVE_FIELDS):
+            c = cols[k] if order == "increasing" else cols[k][::-1]
+            ref = PchipInterpolator(xs, c, extrapolate=False)(q)
+            assert np.array_equal(vals[:, k], ref, equal_nan=True)
+            assert np.array_equal(b.interp(name, q), ref, equal_nan=True)
+            assert b.interp(name, float(x[1])) == ref[300 + 1]
+
+
+def test_single_sample_branch_is_constant():
+    cols = [np.array([v]) for v in (0.5, -1.0, 2.0, 0.25, 3.0)]
+    b = _one_branch(np.array([1.0]), cols)
+    q = np.array([-5.0, 1.0, 7.0])
+    vals = b.values(q)
+    assert vals.shape == (3, 5)
+    assert np.array_equal(vals, np.tile([0.5, -1.0, 2.0, 0.25, 3.0], (3, 1)))
+    assert np.array_equal(b.values(2.0), [0.5, -1.0, 2.0, 0.25, 3.0])
+    assert b.interp("J", 2.0) == 2.0
+
+
+def _decompose_loop(J, x, x0):
+    """Reference: the per-sample loop the vectorized _decompose replaced."""
+    n = J.size
+    signs = np.sign(J)
+    branches = []
+    i = 0
+    while i < n:
+        if signs[i] == 0:
+            i += 1
+            continue
+        s = signs[i]
+        j = i
+        while j + 1 < n and signs[j + 1] == s:
+            if (x[j + 1] - x[j]) * s <= 0:
+                break
+            j += 1
+        if j > i:
+            branches.append((slice(i, j + 1), float(s), float(min(x[i], x[j])),
+                             float(max(x[i], x[j]))))
+        i = j + 1
+    folds = []
+    for k in range(n - 1):
+        if signs[k] != 0 and signs[k + 1] != 0 and signs[k] != signs[k + 1]:
+            w = J[k] / (J[k] - J[k + 1])
+            x0z = x0[k] + w * (x0[k + 1] - x0[k])
+            xz = x[k] + w * (x[k + 1] - x[k])
+            bl = br = -1
+            for idx, (rows, *_) in enumerate(branches):
+                if rows.stop - 1 == k:
+                    bl = idx
+                if rows.start == k + 1:
+                    br = idx
+            folds.append((float(x0z), float(xz), bl, br))
+    return branches, folds
+
+
+def _decompose_cases():
+    J_zero = np.array([1.0, 2.0, 0.0, 0.0, 1.0, 3.0, -1.0, -2.0, 0.0, 1.0])
+    J_alt = np.array([1.0, -1.0, 2.0, -2.0, 1.0, 1.0, -1.0, 1.0])
+    J_pos = np.ones(8)
+    x_bent = np.array([0.0, 1.0, 2.0, 1.5, 3.0, 4.0, 4.0, 5.0])
+    J_ones = np.array([1.0, -1.0, -1.0, 1.0, 0.0, -1.0, 1.0])
+    cases = [
+        (J_zero, np.cumsum(np.sign(J_zero) + 0.5)),      # zero-J samples
+        (J_alt, np.linspace(0.0, 1.0, J_alt.size)),       # adjacent folds
+        (J_pos, x_bent),                                   # non-monotone x
+        (J_ones, np.array([0.0, 1.0, 0.5, 0.0, 0.0, -1.0, 2.0])),  # 1-sample runs
+        (np.array([2.0]), np.array([0.0])),
+        (np.array([1.0, 1.0]), np.array([0.0, 0.0])),
+    ]
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        n = int(rng.integers(2, 60))
+        J = rng.choice([-2.0, -1.0, 0.0, 0.5, 1.0], n) * rng.uniform(0.5, 1.5, n)
+        x = np.cumsum(rng.choice([-1.0, 0.0, 1.0, 1.0, 1.0], n))
+        cases.append((J, x))
+    return cases
+
+
+def test_vectorized_decompose_matches_loop():
+    for J, x in _decompose_cases():
+        x0 = np.linspace(-1.0, 1.0, J.size)
+        curve = manifold.LagrangianCurve(
+            t=0.0, symbol=None, x0=x0, x=x, p=np.zeros_like(x),
+            S=np.zeros_like(x), J=J, a_int=np.zeros_like(x))
+        manifold._decompose(curve)
+        branches, folds = _decompose_loop(J, x, x0)
+        got = [(b.rows, b.sign, b.x_lo, b.x_hi) for b in curve.branches]
+        assert got == branches
+        assert [b.index for b in curve.branches] == list(range(len(got)))
+        assert [(f.x0, f.x, f.left_branch, f.right_branch)
+                for f in curve.folds] == folds

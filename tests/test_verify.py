@@ -158,3 +158,14 @@ def test_hj_defect_all_masked_errors(m_burgers):
         x_s=np.zeros(2), c=np.zeros(2))
     with pytest.raises(verify.VerifyError):
         verify.hj_residual(slices, m_burgers, shocks=(rec,), collar=50)
+
+
+@pytest.mark.parametrize("gd_name", ["riemann_gd", "kirchhoff_gd"])
+def test_suite_rows_match_single_level_residuals(gd_name, request):
+    # the suite shares slices between levels; each row must still equal a
+    # separate single-level call bit for bit
+    gd = request.getfixturevalue(gd_name)
+    rep = verify.identity_suite(gd, 1, seed=9)
+    for i, zeta in enumerate(rep.bumps):
+        for j, lev in enumerate(rep.levels):
+            assert rep.residuals[i, j] == verify.identity_residual(gd, zeta, lev)
