@@ -31,17 +31,6 @@ class StepSizeError(CharacteristicsError):
 
 
 @dataclass
-class TrajectoryPoint:
-    t: float
-    x0: float
-    x: float
-    p: float
-    S: float
-    J: float
-    a_int: float
-
-
-@dataclass
 class Fan:
     symbol: object
     x0: np.ndarray
@@ -68,13 +57,6 @@ class Fan:
             raise CharacteristicsError(f"time {t!r} is not on the stored grid")
         return idx
 
-    def point(self, i_t, i_row):
-        return TrajectoryPoint(
-            float(self.times[i_t]), float(self.x0[i_row]),
-            float(self.x[i_t, i_row]), float(self.p[i_t, i_row]),
-            float(self.S[i_t, i_row]), float(self.J[i_t, i_row]),
-            float(self.a_int[i_t, i_row]))
-
     def state(self, i_t):
         return {f: getattr(self, f)[i_t].copy() for f in _FIELDS}
 
@@ -85,8 +67,7 @@ class Fan:
             cache = {}
             self._node_rhs_cache = cache
         if k not in cache:
-            y = {f: getattr(self, f)[k] for f in _FIELDS}
-            cache[k] = self.rhs(float(self.times[k]), y)
+            cache[k] = self.rhs(float(self.times[k]), self.state(k))
         return cache[k]
 
     def state_at(self, t):
@@ -98,32 +79,35 @@ class Fan:
         dt = self.times[1] - self.times[0]
         k = int(np.clip(np.floor((t - t0) / dt), 0, self.times.size - 2))
         ta, tb = self.times[k], self.times[k + 1]
-        ya = {f: getattr(self, f)[k] for f in _FIELDS}
-        yb = {f: getattr(self, f)[k + 1] for f in _FIELDS}
+        ya, yb = self.state(k), self.state(k + 1)
         fa = self.node_rhs(k)
         fb = self.node_rhs(k + 1)
-        h = tb - ta
-        s = (t - ta) / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        out = {}
-        for f in _FIELDS:
-            out[f] = (h00 * ya[f] + h10 * h * fa[f] + h01 * yb[f] + h11 * h * fb[f])
-        return out
+        s = (t - ta) / (tb - ta)
+        return {f: _cubic_hermite(s, tb - ta, ya[f], yb[f], fa[f], fb[f])
+                for f in _FIELDS}
+
+
+def _cubic_hermite(s, h, ya, yb, fa, fb):
+    """Cubic Hermite interpolant at fraction s of a step of length h, from
+    the end values ya, yb and the end slopes fa, fb."""
+    h00 = (1 + 2 * s) * (1 - s) ** 2
+    h10 = s * (1 - s) ** 2
+    h01 = s * s * (3 - 2 * s)
+    h11 = s * s * (s - 1)
+    return h00 * ya + h10 * h * fa + h01 * yb + h11 * h * fb
 
 
 def _make_a_eval(m, a_mode):
+    """Damping a(x, p, u, t), broadcast to the shape of x: -d2P/dxdp along
+    the path for "auto", else an expression in (x, u)."""
     if a_mode == "auto":
         def a_eval(x, p, u, t):
-            return -symbol.eval_d2P_dxdp(m, x, p, t)
+            return -symbol.eval_d2P_dxdp(m, x, p, t) + np.zeros_like(x)
         return a_eval
-    if isinstance(a_mode, str):
-        a_mode = expr.parse(a_mode, allowed_names=("x", "u"))
+    a_mode = expr.as_expression(a_mode, ("x", "u"))
     if isinstance(a_mode, expr.Expression):
         def a_eval(x, p, u, t):
-            return expr.evaluate(a_mode, x=x, u=u)
+            return expr.evaluate_at(a_mode, x, u=u)
         return a_eval
     raise CharacteristicsError(f"bad a_mode {a_mode!r}")
 
@@ -146,7 +130,7 @@ def hamiltonian_rhs(m, a_mode="auto"):
             "S": p * Pp - P,
             "J": Pxp * y["J"] + Ppp * y["dp"],
             "dp": -Pxx * y["J"] - Pxp * y["dp"],
-            "a_int": a_eval(x, p, Pp, t) + np.zeros_like(x),
+            "a_int": a_eval(x, p, Pp, t),
         }
 
     return rhs
@@ -179,24 +163,6 @@ def monitored_step(rhs, t, y, h, tol=STEP_TOL):
     return two
 
 
-def _derive_p0(S0, x0, S0_prime):
-    if S0_prime is not None:
-        return expr.evaluate(S0_prime, x=x0, t=0.0) + np.zeros_like(x0)
-    h = symbol.FD_STEP_1 * (1.0 + np.abs(x0))
-    return (expr.evaluate(S0, x=x0 + h, t=0.0)
-            - expr.evaluate(S0, x=x0 - h, t=0.0)) / (2 * h)
-
-
-def _derive_dp0(S0, x0, S0_second):
-    if S0_second is not None:
-        return expr.evaluate(S0_second, x=x0, t=0.0) + np.zeros_like(x0)
-    h = symbol.FD_STEP_2 * (1.0 + np.abs(x0))
-    f0 = expr.evaluate(S0, x=x0, t=0.0)
-    fp = expr.evaluate(S0, x=x0 + h, t=0.0)
-    fm = expr.evaluate(S0, x=x0 - h, t=0.0)
-    return (fp - 2 * f0 + fm) / (h * h)
-
-
 def integrate_fan(m, S0, x0, T, h_t, a_mode="auto", store_every=1,
                   working_box=None, S0_prime=None, S0_second=None,
                   t0=0.0, initial=None, step_tol=STEP_TOL):
@@ -225,20 +191,17 @@ def integrate_fan(m, S0, x0, T, h_t, a_mode="auto", store_every=1,
     if n_steps % store_every != 0:
         raise CharacteristicsError("store_every must divide the step count")
 
-    if isinstance(S0, str):
-        S0 = expr.parse(S0)
-    if isinstance(S0_prime, str):
-        S0_prime = expr.parse(S0_prime)
-    if isinstance(S0_second, str):
-        S0_second = expr.parse(S0_second)
-
+    S0, S0_prime, S0_second = (expr.as_expression(e)
+                               for e in (S0, S0_prime, S0_second))
     if initial is None:
         y = {
             "x": x0.copy(),
-            "p": _derive_p0(S0, x0, S0_prime),
-            "S": expr.evaluate(S0, x=x0, t=0.0) + np.zeros_like(x0),
+            "p": (symbol._dx_expr(S0, x0, 0.0) if S0_prime is None
+                  else expr.evaluate_at(S0_prime, x0, t=0.0)),
+            "S": expr.evaluate_at(S0, x0, t=0.0),
             "J": np.ones_like(x0),
-            "dp": _derive_dp0(S0, x0, S0_second),
+            "dp": (symbol._dxx_expr(S0, x0, 0.0) if S0_second is None
+                   else expr.evaluate_at(S0_second, x0, t=0.0)),
             "a_int": np.zeros_like(x0),
         }
     else:

@@ -24,7 +24,7 @@ ORACLES = ("hopf-lax", "godunov", "kf-lattice", "tunnel-compare")
 
 _USAGE = """\
 usage: tunnelshock <subcommand> --scenario <path> [--out <dir>]
-                   [--threads <n>] [--seed <u64>]
+                   [--threads <n>, validated then ignored] [--seed <u64>]
 
 subcommands:
   evolve        characteristic fan, minimal-action slices, density slices

@@ -7,13 +7,14 @@ a balance law driven by the one-sided influx, and amplitudes add when shock
 paths merge.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from . import expr, manifold, symbol
+from . import characteristics, expr, manifold
 
 J_CONTACT_TOL = 1e-12
 
@@ -22,34 +23,23 @@ class DensityError(ValueError):
     pass
 
 
-def _as_expression(rho0):
-    if isinstance(rho0, str):
-        return expr.parse(rho0)
-    return rho0
-
-
 def transport_density(fan, rho0="1"):
     """Regular density over the stored fan grid (rows may be fold-crossed)."""
-    rho0 = _as_expression(rho0)
-    vals = expr.evaluate(rho0, x=fan.x0, t=0.0) + np.zeros_like(fan.x0)
+    vals = expr.evaluate_at(expr.as_expression(rho0), fan.x0, t=0.0)
     with np.errstate(divide="ignore"):
         return vals[None, :] * np.exp(-fan.a_int) / np.abs(fan.J)
 
 
 def _friction_at_shock(fan, x_s, p_l, p_r, c, t, a_mode=None):
-    """Damping felt by a point mass on the path, matching the bulk transport.
+    """Damping felt by a point mass on the path, matching the bulk transport:
+    the bulk damping at the mean momentum, with the path speed c as u.
 
     a_mode overrides the fan's own damping mode.
     """
-    if a_mode is None:
-        a_mode = fan.a_mode
-    if a_mode == "auto":
-        p_bar = 0.5 * (np.asarray(p_l) + np.asarray(p_r))
-        return -symbol.eval_d2P_dxdp(fan.symbol, x_s, p_bar, t) + 0.0 * p_bar
-    if isinstance(a_mode, str):
-        a_mode = expr.parse(a_mode, allowed_names=("x", "u"))
-    return expr.evaluate(a_mode, x=np.asarray(x_s), u=np.asarray(c)) \
-        + 0.0 * np.asarray(x_s)
+    a_eval = characteristics._make_a_eval(
+        fan.symbol, fan.a_mode if a_mode is None else a_mode)
+    p_bar = 0.5 * (np.asarray(p_l) + np.asarray(p_r))
+    return a_eval(np.asarray(x_s), p_bar, np.asarray(c), t)
 
 
 def _aint_on_label(fan, t, x0_star):
@@ -64,10 +54,6 @@ class GeneralizedDensity:
     fan: object
     rho0: object
     shocks: list = field(default_factory=list)
-
-    def rho0_at(self, x0):
-        x0 = np.asarray(x0, dtype=float)
-        return expr.evaluate(self.rho0, x=x0, t=0.0) + np.zeros_like(x0)
 
     def curve_at(self, t):
         return manifold.slice_dense(self.fan, t)
@@ -89,7 +75,8 @@ class GeneralizedDensity:
             raise DensityError(
                 f"evaluation touches a fold(|J| < {J_CONTACT_TOL:g}) "
                 f"at t={float(t):g}")
-        R = self.rho0_at(ess.x0) * np.exp(-ess.a_int) / np.abs(ess.J)
+        R = (expr.evaluate_at(self.rho0, ess.x0, t=0.0)
+             * np.exp(-ess.a_int) / np.abs(ess.J))
         return {"R": R, "S": ess.S, "p": ess.p, "u": ess.u, "x0": ess.x0,
                 "branch_id": ess.branch_id}
 
@@ -138,15 +125,16 @@ def attach_amplitudes(gd):
     right after birth exactly instead of sampling it on the path grid.
     """
     by_id = {rec.id: rec for rec in gd.shocks}
+    rho0 = functools.partial(expr.evaluate_at, gd.rho0, t=0.0)
     for rec in sorted(gd.shocks, key=lambda r: r.id):
         if rec.times.size == 0:
             continue
-        rho_l = gd.rho0_at(rec.x0_l) * np.exp(-rec.aint_l)
-        rho_r = gd.rho0_at(rec.x0_r) * np.exp(-rec.aint_r)
+        rho_l = rho0(rec.x0_l) * np.exp(-rec.aint_l)
+        rho_r = rho0(rec.x0_r) * np.exp(-rec.aint_r)
         rec.R_l = rho_l / np.abs(rec.J_l)
         rec.R_r = rho_r / np.abs(rec.J_r)
         f = _friction_at_shock(gd.fan, rec.x_s, rec.p_l, rec.p_r, rec.c,
-                               rec.times) + np.zeros_like(rec.x_s)
+                               rec.times)
         sl = np.sign(rec.J_l)
         sr = np.sign(rec.J_r)
         if rec.parents:
@@ -161,12 +149,12 @@ def attach_amplitudes(gd):
             x0r_prev = float(pb.x0_r[-1]
                              + (rec.t_birth - float(pb.times[-1]))
                              * _label_rate(pb.times, pb.x0_r))
-            rhol_prev = float(gd.rho0_at(x0l_prev) * np.exp(-pa.aint_l[-1]))
-            rhor_prev = float(gd.rho0_at(x0r_prev) * np.exp(-pb.aint_r[-1]))
+            rhol_prev = float(rho0(x0l_prev) * np.exp(-pa.aint_l[-1]))
+            rhor_prev = float(rho0(x0r_prev) * np.exp(-pb.aint_r[-1]))
         else:
             e_prev = 0.0
             aint0 = _aint_on_label(gd.fan, rec.t_birth, rec.x0_birth)
-            rho_star = float(gd.rho0_at(rec.x0_birth) * np.exp(-aint0))
+            rho_star = float(rho0(rec.x0_birth) * np.exp(-aint0))
             x0l_prev = x0r_prev = float(rec.x0_birth)
             rhol_prev = rhor_prev = rho_star
         e = np.empty(rec.times.size)
@@ -198,7 +186,7 @@ def attach_amplitudes(gd):
 
 def build_density(fan, rho0="1", shocks=None):
     """Track shocks (unless given) and assemble the generalized density."""
-    gd = GeneralizedDensity(fan=fan, rho0=_as_expression(rho0))
+    gd = GeneralizedDensity(fan=fan, rho0=expr.as_expression(rho0))
     gd.shocks = manifold.track_shocks(fan) if shocks is None else list(shocks)
     return attach_amplitudes(gd)
 

@@ -237,6 +237,13 @@ def parse(source, allowed_names=("x", "t")):
     return Expression(source, node, p.seen)
 
 
+def as_expression(src, allowed_names=("x", "t")):
+    """Parse text over ``allowed_names``; anything else passes through."""
+    if isinstance(src, str):
+        return parse(src, allowed_names)
+    return src
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -298,6 +305,16 @@ def evaluate(e, **env):
     if isinstance(out, np.ndarray):
         return out
     return float(out)
+
+
+def evaluate_at(e, x, **env):
+    """Evaluate ``e`` at positions ``x``, broadcast to the shape of ``x``.
+
+    Adding zeros also turns a -0.0 result into +0.0, so printed values do
+    not depend on how the expression reached zero.
+    """
+    x = np.asarray(x, dtype=float)
+    return evaluate(e, x=x, **env) + np.zeros_like(x)
 
 
 # ---------------------------------------------------------------------------

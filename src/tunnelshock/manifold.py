@@ -231,12 +231,6 @@ class SingularPoint:
     rows: tuple  # contiguous label-index range (lo, hi) that folds
 
 
-def _row_cross_step(fan, row):
-    """First stored index where J <= 0, or None."""
-    neg = np.nonzero(fan.J[:, row] <= 0.0)[0]
-    return int(neg[0]) if neg.size else None
-
-
 def _cross_times_rows(fan, rows, k):
     """Bisect the Hermite dense J(t) = 0 inside (times[k-1], times[k]).
 
@@ -253,12 +247,7 @@ def _cross_times_rows(fan, rows, k):
     tb = np.full(rows.size, t1)
     for _ in range(60):
         tm = 0.5 * (ta + tb)
-        s = (tm - t0) / h
-        h00 = (1 + 2 * s) * (1 - s) ** 2
-        h10 = s * (1 - s) ** 2
-        h01 = s * s * (3 - 2 * s)
-        h11 = s * s * (s - 1)
-        Jm = h00 * Ja + h10 * h * fa + h01 * Jb + h11 * h * fb
+        Jm = characteristics._cubic_hermite((tm - t0) / h, h, Ja, Jb, fa, fb)
         pos = Jm > 0
         ta = np.where(pos, tm, ta)
         tb = np.where(pos, tb, tm)
@@ -269,24 +258,15 @@ def _cross_times_rows(fan, rows, k):
 
 def find_singularities(fan):
     """All first-fold events, one per contiguous folding label cluster."""
-    n = fan.n_rows
-    first = np.array([
-        np.inf if _row_cross_step(fan, r) is None else _row_cross_step(fan, r)
-        for r in range(n)])
-    folding = np.isfinite(first)
-    if not np.any(folding):
+    neg = fan.J <= 0.0
+    first = np.argmax(neg, axis=0)  # first index with J <= 0, if any
+    (idx,) = np.nonzero(neg.any(axis=0))
+    if not idx.size:
         return []
     events = []
     # contiguous clusters of folding rows
-    (idx,) = np.nonzero(folding)
-    cluster_bounds = []
-    start = idx[0]
-    for a, b in zip(idx[:-1], idx[1:]):
-        if b != a + 1:
-            cluster_bounds.append((start, a))
-            start = b
-    cluster_bounds.append((start, idx[-1]))
-    for lo, hi in cluster_bounds:
+    gaps = np.flatnonzero(np.diff(idx) > 1)
+    for lo, hi in zip(idx[np.append(0, gaps + 1)], idx[np.append(gaps, -1)]):
         rows = np.arange(lo, hi + 1)
         steps = first[rows]
         kmin = int(np.min(steps))
@@ -296,32 +276,20 @@ def find_singularities(fan):
         # them all, then fit a parabola around the refined minimum
         tied = rows[steps == kmin]
         t_tied = _cross_times_rows(fan, tied, kmin)
-        j = int(np.argmin(t_tied))
-        r_best, t_best = int(tied[j]), float(t_tied[j])
-        cand, ts = [r_best], [t_best]
-        for r in (r_best - 1, r_best + 1):
-            if lo <= r <= hi and first[r] < np.inf:
-                if r in tied:
-                    ts.append(float(t_tied[list(tied).index(r)]))
-                else:
-                    ts.append(float(_cross_times_rows(fan, [r], int(first[r]))[0]))
-                cand.append(r)
-        order = np.argsort([fan.x0[c] for c in cand])
-        cand = [cand[i] for i in order]
-        ts = [ts[i] for i in order]
-        if len(cand) == 3:
-            xs0 = fan.x0[cand]
-            c2 = np.polyfit(xs0, ts, 2)
-            if c2[0] > 0:
-                x0_star = float(-c2[1] / (2 * c2[0]))
-                x0_star = float(np.clip(x0_star, xs0[0], xs0[-1]))
-                t_star = float(np.polyval(c2, x0_star))
-            else:
-                j = int(np.argmin(ts))
-                x0_star, t_star = float(fan.x0[cand[j]]), float(ts[j])
+        r_best = int(tied[np.argmin(t_tied)])
+        # the earliest row and its neighbours in the cluster, in label order
+        cand = [r for r in (r_best - 1, r_best, r_best + 1) if lo <= r <= hi]
+        ts = [float(t_tied[tied == r][0]) if first[r] == kmin
+              else float(_cross_times_rows(fan, [r], int(first[r]))[0])
+              for r in cand]
+        xs0 = fan.x0[cand]
+        c2 = np.polyfit(xs0, ts, 2) if len(cand) == 3 else None
+        if c2 is not None and c2[0] > 0:
+            x0_star = float(np.clip(-c2[1] / (2 * c2[0]), xs0[0], xs0[-1]))
+            t_star = float(np.polyval(c2, x0_star))
         else:
             j = int(np.argmin(ts))
-            x0_star, t_star = float(fan.x0[cand[j]]), float(ts[j])
+            x0_star, t_star = float(xs0[j]), float(ts[j])
         state = fan.state_at(min(t_star, float(fan.times[-1])))
         x_star = float(np.interp(x0_star, fan.x0, state["x"]))
         events.append(SingularPoint(t=t_star, x=x_star, x0=x0_star,
@@ -371,7 +339,8 @@ class ShockRecord:
     def at(self, t):
         """Linear interpolation of path quantities at time t."""
         out = {}
-        for name in ("x_s", "c", "p_l", "p_r", "u_l", "u_r", "R_l", "R_r", "e"):
+        for name in ("x_s", "c", "p_l", "p_r", "u_l", "u_r", "S_s", "x0_l",
+                     "x0_r", "R_l", "R_r", "e"):
             arr = getattr(self, name)
             if arr is not None:
                 out[name] = float(np.interp(t, self.times, arr))
@@ -438,7 +407,7 @@ def _fold_midpoint(curve, x_guess):
     return float(xs[order[0]])
 
 
-def _one_sided(curve, branch, x):
+def _one_sided(branch, x):
     return {name: float(v) for name, v in zip(_CURVE_FIELDS, branch.values(x))}
 
 
@@ -460,8 +429,8 @@ class _Tracker:
         hit = _equal_action_root(curve, self.x_prev, w0)
         if hit is not None:
             x_s, bl, br = hit
-            sl = _one_sided(curve, bl, x_s)
-            sr = _one_sided(curve, br, x_s)
+            sl = _one_sided(bl, x_s)
+            sr = _one_sided(br, x_s)
             if abs(sl["p"] - sr["p"]) > 1e-8 * (1 + abs(sl["p"])):
                 self.root_mode = True
         if hit is None or (not self.root_mode):
@@ -480,8 +449,8 @@ class _Tracker:
             x_s = x_mid
             bl = _essential_branch_near(curve, x_s, "l", w0)
             br = _essential_branch_near(curve, x_s, "r", w0)
-            sl = _one_sided(curve, bl, np.clip(x_s, bl.x_lo, bl.x_hi))
-            sr = _one_sided(curve, br, np.clip(x_s, br.x_lo, br.x_hi))
+            sl = _one_sided(bl, np.clip(x_s, bl.x_lo, bl.x_hi))
+            sr = _one_sided(br, np.clip(x_s, br.x_lo, br.x_hi))
         u_l = float(symbol.eval_dP_dp(m, x_s, sl["p"], curve.t))
         u_r = float(symbol.eval_dP_dp(m, x_s, sr["p"], curve.t))
         self.samples.append(dict(t=curve.t, x_s=x_s, p_l=sl["p"], p_r=sr["p"],
@@ -491,7 +460,7 @@ class _Tracker:
                                  aint_l=sl["a_int"], aint_r=sr["a_int"]))
         self.x_prev = x_s
 
-    def to_record(self, m):
+    def to_record(self):
         t = np.array([s["t"] for s in self.samples])
         rec = ShockRecord(id=self.id, t_birth=self.t_birth, x_birth=self.x_birth,
                           x0_birth=self.x0_birth, parents=self.parents, times=t,
@@ -607,7 +576,7 @@ def track_shocks(fan, t_stop=None, check=True):
                     break
                 if merged_any:
                     break
-    records = [tr.to_record(fan.symbol) for tr in sorted(trackers, key=lambda tr: tr.id)]
+    records = [tr.to_record() for tr in sorted(trackers, key=lambda tr: tr.id)]
     if check:
         for rec in records:
             if rec.times.size:

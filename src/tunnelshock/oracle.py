@@ -34,17 +34,10 @@ class BoundaryContactError(OracleError):
     """Lattice support reached the edge of the computational window."""
 
 
-def _as_expression(src, names=("x", "t")):
-    if isinstance(src, str):
-        return expr.parse(src, allowed_names=names)
-    return src
-
-
 def _field_values(data, xs):
     """Initial data given as expression source, Expression, callable or array."""
     if isinstance(data, (str, expr.Expression)):
-        e = _as_expression(data, names=("x",))
-        return expr.evaluate(e, x=xs) + np.zeros_like(xs)
+        return expr.evaluate_at(expr.as_expression(data, ("x",)), xs)
     if callable(data):
         return np.asarray(data(xs), dtype=float) + np.zeros_like(xs)
     vals = np.asarray(data, dtype=float)
@@ -71,13 +64,13 @@ def hopf_lax(m, S0, x, t, y_box=(-30.0, 30.0), n=2001):
         raise OracleError("variational minimizer needs an autonomous symbol")
     if not t > 0.0:
         raise OracleError("t must be positive")
-    S0 = _as_expression(S0, names=("x",))
+    S0 = expr.as_expression(S0, ("x",))
     x = float(x)
     t = float(t)
 
     def total(ys):
         _, L = symbol.legendre_clamped(m, 0.0, (x - ys) / t)
-        return expr.evaluate(S0, x=ys) + np.zeros_like(ys) + t * L
+        return expr.evaluate_at(S0, ys) + t * L
 
     ys = np.linspace(y_box[0], y_box[1], n)
     vals = total(ys)
@@ -126,18 +119,7 @@ class FiniteVolumeSolution:
 
 def _sonic_point(m, t=0.0):
     """Zero of the nondecreasing dP/dp, clipped to the momentum box."""
-    lo, hi = symbol.P_BOX
-    if symbol.eval_dP_dp(m, 0.0, lo, t) >= 0.0:
-        return lo
-    if symbol.eval_dP_dp(m, 0.0, hi, t) <= 0.0:
-        return hi
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        if symbol.eval_dP_dp(m, 0.0, mid, t) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return symbol.legendre_clamped(m, 0.0, 0.0, t)[0]
 
 
 def godunov(m, v0, x_box, n_cells, T, store_times=None, cfl=0.8, dt=None):
@@ -231,7 +213,7 @@ def make_lattice(u0, h, x_box, dx):
     if abs(lo + n * dx - hi) > 1e-9 * max(1.0, abs(hi - lo)):
         raise OracleError("dx must tile the lattice window exactly")
     xs = lo + dx * np.arange(n + 1)
-    u0e = _as_expression(u0, names=("x",)) if isinstance(u0, str) else u0
+    u0e = expr.as_expression(u0, ("x",))
     return LatticeField(x=xs, values=_field_values(u0e, xs), h=float(h),
                         u0=u0e)
 
@@ -273,10 +255,9 @@ def kf_lattice(m, field, T, safety=0.4, dt=None, support_tol=1e-10):
     reach = max([1] + [abs(s) for s in shifts])
 
     def coefficients(t):
-        A = expr.evaluate(m.A, x=xs, t=t) + np.zeros_like(xs)
-        V = expr.evaluate(m.V, x=xs, t=t) + np.zeros_like(xs)
-        lams = [expr.evaluate(j.lam, x=xs, t=t) + np.zeros_like(xs)
-                for j in m.jumps]
+        A = expr.evaluate_at(m.A, xs, t=t)
+        V = expr.evaluate_at(m.V, xs, t=t)
+        lams = [expr.evaluate_at(j.lam, xs, t=t) for j in m.jumps]
         return A, V, lams
 
     def step_bounds(A, V, lams):
@@ -336,18 +317,17 @@ def kf_lattice(m, field, T, safety=0.4, dt=None, support_tol=1e-10):
     core = slice(reach, reach + n)
     check_every = max(1, n_steps // 32)
     dt_h = step0 / h
-    diag = 1.0 + dt_h * (V - sum(lams) if lams else V)
-    c_lap = A * h * step0 / (dx * dx)
-    diag = diag - 2.0 * c_lap
-    c_jump = [dt_h * lv for lv in lams]
 
+    def stencil(A, V, lams):
+        """Weights of one explicit step: centre, neighbours, jump shifts."""
+        c_lap = A * h * step0 / (dx * dx)
+        diag = 1.0 + dt_h * (V - sum(lams) if lams else V) - 2.0 * c_lap
+        return diag, c_lap, [dt_h * lv for lv in lams]
+
+    diag, c_lap, c_jump = stencil(A, V, lams)
     for k in range(n_steps):
         if m.time_dependent:
-            A, V, lams = coefficients(t0 + k * step0)
-            diag = 1.0 + dt_h * (V - sum(lams) if lams else V)
-            c_lap = A * h * step0 / (dx * dx)
-            diag = diag - 2.0 * c_lap
-            c_jump = [dt_h * lv for lv in lams]
+            diag, c_lap, c_jump = stencil(*coefficients(t0 + k * step0))
         cur = u[core]
         new = diag * cur
         new += c_lap * (u[reach + 1:reach + n + 1] + u[reach - 1:reach + n - 1])

@@ -12,6 +12,7 @@ jump-connected curve out of a folded fan and flowing it backward into
 fresh single-valued data.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -22,7 +23,10 @@ from . import characteristics
 from . import density
 from . import expr
 from . import manifold
-from .symbol import eval_P, eval_dP_dp, eval_dP_dx, eval_hess, P_BOX
+from . import symbol
+# bench/tracing.py wraps these by-name imports; eval_hess is unused here
+from .symbol import (eval_P, eval_dP_dp, eval_dP_dx, eval_hess,  # noqa: F401
+                     P_BOX)
 
 
 SHIFT_SCAN = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 100.0)
@@ -76,7 +80,6 @@ class RegularizationParams:
     beta: float
     A_shift: float = None       # None -> auto-tuned when the flow is built
     B_profile: object = "tanh"
-    t1: float = 0.0             # backward-flow horizon for surgery presets
 
     def __post_init__(self):
         if not (self.epsilon > 0.0):
@@ -86,8 +89,6 @@ class RegularizationParams:
         if self.epsilon > self.beta ** 2 * (1.0 + 1e-12):
             raise RegularizeError(
                 "window width must satisfy epsilon <= beta**2")
-        if self.t1 < 0.0:
-            raise RegularizeError("t1 must be non-negative")
         _validate_blend(self.blend)
 
     @property
@@ -121,16 +122,9 @@ def _validate_blend(B):
 
 def _as_x_fn(f, what="profile"):
     """Coerce an expression in x, or a callable, into a vectorized function."""
-    if isinstance(f, str):
-        f = expr.parse(f, allowed_names=("x",))
+    f = expr.as_expression(f, ("x",))
     if isinstance(f, expr.Expression):
-        e = f
-
-        def fn(x):
-            x = np.asarray(x, dtype=float)
-            return expr.evaluate(e, x=x) + np.zeros_like(x)
-
-        return fn
+        return functools.partial(expr.evaluate_at, f)
     if callable(f):
         g = f
 
@@ -200,34 +194,15 @@ class Insertion:
         """Gradient data generating the straight-line speeds (root solve)."""
         x0 = np.asarray(x0, dtype=float)
         target = np.atleast_1d(self.speed(x0, t))
-        lo, hi = P_BOX
-        v_lo = float(eval_dP_dp(self.symbol, self.x0_star, lo, t))
-        v_hi = float(eval_dP_dp(self.symbol, self.x0_star, hi, t))
-        out = np.empty_like(target)
-        for i, v in enumerate(target):
+        v_lo, v_hi = (float(eval_dP_dp(self.symbol, self.x0_star, p, t))
+                      for p in P_BOX)
+        for v in target:
             if not (v_lo < v < v_hi):
                 raise RegularizeError(
                     f"target speed {v:.6g} is outside the symbol's range "
                     f"({v_lo:.6g}, {v_hi:.6g}) on the momentum box")
-            a, c = lo, hi
-            p = 0.5 * (self.p_l0 + self.p_r0)
-            for _ in range(80):
-                f = float(eval_dP_dp(self.symbol, self.x0_star, p, t)) - v
-                if f > 0.0:
-                    c = p
-                else:
-                    a = p
-                h = float(eval_hess(self.symbol, self.x0_star, p, t))
-                step = f / h if h > 0.0 else math.inf
-                p_new = p - step
-                if not (a < p_new < c):
-                    p_new = 0.5 * (a + c)
-                if abs(p_new - p) < 1e-14 * (1.0 + abs(p)):
-                    p = p_new
-                    break
-                p = p_new
-            out[i] = p
-        return out[0] if np.isscalar(x0) or x0.ndim == 0 else out
+        out, _ = symbol.legendre_batch(self.symbol, self.x0_star, target, t)
+        return out[0] if x0.ndim == 0 else out
 
 
 def build_insertion(m, u0, x0_star, beta, T=0.0):
@@ -329,17 +304,16 @@ class BlendedFlow:
     min_inside_J_after: float
     window: object = field(repr=False, default=None)
 
-    def _inside_positions(self, t):
+    def _collar_positions(self, t, lab):
+        """Collar labels riding the insertion, blended into the plateau."""
         w = float(self.window(t))
-        lab = self.x0[self.inside]
-        s = self.insertion.speed(lab)
-        return lab + self.A_shift * self.params.epsilon + w * s \
-            + (t - w) * self.c
+        return lab + self.A_shift * self.params.epsilon \
+            + w * self.insertion.speed(lab) + (t - w) * self.c
 
     def positions(self, t):
         t = float(t)
         x = self.x0 + t * self.v
-        x[self.inside] = self._inside_positions(t)
+        x[self.inside] = self._collar_positions(t, self.x0[self.inside])
         x_el, x_er = self.edge_positions(t)
         gone = ~self.inside & (t >= self.t_abs)
         x[gone & (self.x0 < self.insertion.x0_star)] = x_el
@@ -348,10 +322,8 @@ class BlendedFlow:
 
     def edge_positions(self, t):
         ins = self.insertion
-        edges = np.array([ins.x0_star - ins.beta, ins.x0_star + ins.beta])
-        w = float(self.window(t))
-        pos = edges + self.A_shift * self.params.epsilon \
-            + w * ins.speed(edges) + (t - w) * self.c
+        pos = self._collar_positions(t, np.array([ins.x0_star - ins.beta,
+                                                  ins.x0_star + ins.beta]))
         return float(pos[0]), float(pos[1])
 
     def inside_jacobian(self, t):
@@ -402,7 +374,7 @@ def blended_fan(m, u0, params, T, x0_star=None, t_star=None,
     if np.any(np.diff(lab) <= 0.0):
         raise RegularizeError("label grid too coarse for the collar")
     inside = np.abs(lab - x0_star) <= beta * (1.0 + 1e-12)
-    p0 = u0(lab) + np.zeros_like(lab)
+    p0 = u0(lab)
     v = eval_dP_dp(m, lab, p0) + np.zeros_like(lab)
     vprime = np.gradient(v, lab)
     c = plateau_speed(m, edge_l, ins.p_l0, edge_r, ins.p_r0)
@@ -421,19 +393,17 @@ def blended_fan(m, u0, params, T, x0_star=None, t_star=None,
     t_det = 1.5 * float(T) + 20.0 * eps
 
     def absorption(A):
-        off = A * eps
-
-        def x_el(t):
-            w = W(t)
-            return edge_l + off + w * s_l + (t - w) * c
-
-        def x_er(t):
-            w = W(t)
-            return edge_r + off + w * s_r + (t - w) * c
+        def edge_path(edge, s_e):  # as BlendedFlow.edge_positions, over t
+            def x_e(t):
+                w = W(t)
+                return edge + A * eps + w * s_e + (t - w) * c
+            return x_e
 
         t_abs = np.full(lab.shape, np.inf)
-        t_abs[left] = _first_crossing(lab[left], v[left], x_el, +1.0, t_det)
-        t_abs[right] = _first_crossing(lab[right], v[right], x_er, -1.0, t_det)
+        for rows, edge, s_e, sign in ((left, edge_l, s_l, +1.0),
+                                      (right, edge_r, s_r, -1.0)):
+            t_abs[rows] = _first_crossing(lab[rows], v[rows],
+                                          edge_path(edge, s_e), sign, t_det)
         return t_abs
 
     chk = np.unique(np.clip(np.concatenate([
@@ -488,17 +458,16 @@ def blended_fan(m, u0, params, T, x0_star=None, t_star=None,
 # vanishing-window limit study
 
 
-def _boundary_track(t_abs, labs, edge):
-    """Absorbed-set boundary label as a function of time (interp table)."""
+def _boundary_label(t_abs, labs, edge, t):
+    """Absorbed-set boundary label at time t."""
     fin = np.isfinite(t_abs)
     if not np.any(fin):
-        return np.array([0.0]), np.array([edge])
+        return float(edge)
     order = np.argsort(t_abs[fin])
     ta = t_abs[fin][order]
     lb = labs[fin][order]
-    ta = np.concatenate([[ta[0] - 1e-12], ta])
-    lb = np.concatenate([[edge], lb])
-    return ta, lb
+    return float(np.interp(t, np.concatenate([[ta[0] - 1e-12], ta]),
+                           np.concatenate([[edge], lb])))
 
 
 def _plateau_mass(flow, cum, t):
@@ -508,10 +477,8 @@ def _plateau_mass(flow, cum, t):
     outs = ~flow.inside
     left = outs & (flow.x0 < ins.x0_star)
     right = outs & (flow.x0 > ins.x0_star)
-    ta_l, lb_l = _boundary_track(flow.t_abs[left], flow.x0[left], edge_l)
-    ta_r, lb_r = _boundary_track(flow.t_abs[right], flow.x0[right], edge_r)
-    m_l = float(np.interp(t, ta_l, lb_l))
-    m_r = float(np.interp(t, ta_r, lb_r))
+    m_l = _boundary_label(flow.t_abs[left], flow.x0[left], edge_l, t)
+    m_r = _boundary_label(flow.t_abs[right], flow.x0[right], edge_r, t)
     return float(cum(m_r) - cum(m_l))
 
 
@@ -564,7 +531,7 @@ def limit_study(m, S0, rho0, eps_schedule, T, S0_prime=None, betas=None,
         raise RegularizeError("betas must match the schedule length")
     rho_fn = _as_x_fn(rho0, "rho0")
     if S0_prime is None:
-        e_S0 = expr.parse(S0) if isinstance(S0, str) else S0
+        e_S0 = expr.as_expression(S0)
 
         def u0_fn(x):
             x = np.asarray(x, dtype=float)
@@ -658,32 +625,25 @@ def limit_study(m, S0, rho0, eps_schedule, T, S0_prime=None, betas=None,
 
 def flow_samples(m, x, p, S, t_start, duration, h_t=2.5e-3):
     """RK4 transport of (x, p, S) samples; duration may be negative."""
-    x = np.array(x, dtype=float)
-    p = np.array(p, dtype=float)
-    S = np.array(S, dtype=float)
+    y = {"x": np.array(x, dtype=float), "p": np.array(p, dtype=float),
+         "S": np.array(S, dtype=float)}
     steps = max(1, int(math.ceil(abs(duration) / h_t)))
     h = duration / steps
 
     def rhs(t, y):
-        xx, pp, ss = y
+        xx, pp = y["x"], y["p"]
         dx = eval_dP_dp(m, xx, pp, t) + np.zeros_like(xx)
-        dp = -(eval_dP_dx(m, xx, pp, t) + np.zeros_like(xx))
-        dS = pp * dx - (eval_P(m, xx, pp, t) + np.zeros_like(xx))
-        return dx, dp, dS
+        return {"x": dx,
+                "p": -(eval_dP_dx(m, xx, pp, t) + np.zeros_like(xx)),
+                "S": pp * dx - (eval_P(m, xx, pp, t) + np.zeros_like(xx))}
 
     t = float(t_start)
-    y = (x, p, S)
     for _ in range(steps):
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, tuple(a + 0.5 * h * d for a, d in zip(y, k1)))
-        k3 = rhs(t + 0.5 * h, tuple(a + 0.5 * h * d for a, d in zip(y, k2)))
-        k4 = rhs(t + h, tuple(a + h * d for a, d in zip(y, k3)))
-        y = tuple(a + (h / 6.0) * (d1 + 2 * d2 + 2 * d3 + d4)
-                  for a, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4))
+        y = characteristics.rk4_step(rhs, t, y, h)
         t += h
-    if not all(np.all(np.isfinite(a)) for a in y):
+    if not all(np.all(np.isfinite(a)) for a in y.values()):
         raise RegularizeError("transported samples left the working range")
-    return y
+    return y["x"], y["p"], y["S"]
 
 
 @dataclass
@@ -725,17 +685,12 @@ def surgery(m, fan, t_star, beta, t1, n_segment=65, h_t=2.5e-3,
             and (r.t_end is None or r.t_end >= t_cut - 1e-12)]
     if not live:
         raise RegularizeError("no jump is alive at the cut time")
-    rec = min(live, key=lambda r: r.t_birth)
-    x_cut = float(np.interp(t_cut, rec.times, rec.x_s))
-    p_lc = float(np.interp(t_cut, rec.times, rec.p_l))
-    p_rc = float(np.interp(t_cut, rec.times, rec.p_r))
-    S_c = float(np.interp(t_cut, rec.times, rec.S_s))
-    x0l = float(np.interp(t_cut, rec.times, rec.x0_l))
-    x0r = float(np.interp(t_cut, rec.times, rec.x0_r))
+    cut = min(live, key=lambda r: r.t_birth).at(t_cut)
+    x_cut = cut["x_s"]
 
     st = fan.state_at(t_cut)
-    li = fan.x0 <= x0l - 1e-12
-    ri = fan.x0 >= x0r + 1e-12
+    li = fan.x0 <= cut["x0_l"] - 1e-12
+    ri = fan.x0 >= cut["x0_r"] + 1e-12
     xl, pl, Sl = st["x"][li], st["p"][li], st["S"][li]
     xr, pr, Sr = st["x"][ri], st["p"][ri], st["S"][ri]
     kl = xl < x_cut - 1e-9
@@ -747,10 +702,10 @@ def surgery(m, fan, t_star, beta, t1, n_segment=65, h_t=2.5e-3,
     if np.any(np.diff(xl) <= 0.0) or np.any(np.diff(xr) <= 0.0):
         raise RegularizeError("one-sided branch is not single-valued "
                               "at the cut time")
-    seg_p = np.linspace(p_lc, p_rc, int(n_segment))
+    seg_p = np.linspace(cut["p_l"], cut["p_r"], int(n_segment))
     X = np.concatenate([xl, np.full(seg_p.shape, x_cut), xr])
     P = np.concatenate([pl, seg_p, pr])
-    S = np.concatenate([Sl, np.full(seg_p.shape, S_c), Sr])
+    S = np.concatenate([Sl, np.full(seg_p.shape, cut["S_s"]), Sr])
     n_left = int(xl.size)
 
     xb, pb, Sb = flow_samples(m, X, P, S, t_cut, -float(t1), h_t)

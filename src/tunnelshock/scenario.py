@@ -19,7 +19,7 @@ _SECTIONS = {
     "initial": ("S0", "S0_prime", "phi0", "rho0"),
     "domain": ("x_min", "x_max", "n_x0", "T", "h_t", "store_every"),
     "tunnel": ("h", "dx", "w_min", "w_max"),
-    "regularization": ("epsilon", "beta", "B_profile", "t1", "A_shift"),
+    "regularization": ("epsilon", "beta", "B_profile", "A_shift"),
     "verify": ("bumps", "seed"),
     "output": ("dir",),
 }
@@ -51,7 +51,6 @@ class Scenario:
     eps_schedule: tuple
     betas: object             # tuple or None
     B_profile: str
-    t1: float
     A_shift: object           # float or None
     bumps: int
     seed: int
@@ -108,7 +107,7 @@ def _parse_jumps(raw):
             _fail("symbol", "jumps",
                   f"expected 'displacement: rate' in {item!r}")
         nu = _float("symbol", "jumps", head.strip())
-        lam = _check_expr("symbol", "jumps", lam.strip(), ("x", "t"))
+        lam = _check_expr("symbol", "jumps", lam.strip(), ("x",))
         terms.append((nu, lam))
     return tuple(terms)
 
@@ -140,8 +139,9 @@ def load(path):
         return cp.get(section, key, fallback=default)
 
     # -- symbol -----------------------------------------------------------
-    A = _check_expr("symbol", "A", get("symbol", "A", "0"), ("x", "t"))
-    V = _check_expr("symbol", "V", get("symbol", "V", "0"), ("x", "t"))
+    # x only: a scenario cannot make the symbol time dependent
+    A = _check_expr("symbol", "A", get("symbol", "A", "0"), ("x",))
+    V = _check_expr("symbol", "V", get("symbol", "V", "0"), ("x",))
     jumps = _parse_jumps(get("symbol", "jumps", ""))
     m = symbol.make_symbol(A=A, V=V, jumps=jumps)
 
@@ -218,9 +218,6 @@ def load(path):
             _fail("regularization", "beta",
                   "must match the epsilon schedule length")
     B_profile = get("regularization", "B_profile", "tanh")
-    t1 = _float("regularization", "t1", get("regularization", "t1", "0"))
-    if t1 < 0:
-        _fail("regularization", "t1", "pull-back time must be nonnegative")
     A_shift = get("regularization", "A_shift")
     if A_shift is not None:
         A_shift = _float("regularization", "A_shift", A_shift)
@@ -241,5 +238,5 @@ def load(path):
         store_every=store_every, h_schedule=h_schedule,
         lattice_dx=lattice_dx, window=(w_min, w_max),
         eps_schedule=eps_schedule, betas=betas, B_profile=B_profile,
-        t1=t1, A_shift=A_shift, bumps=bumps, seed=seed, out_dir=out_dir,
+        A_shift=A_shift, bumps=bumps, seed=seed, out_dir=out_dir,
         sections=sections, sha256=sha)

@@ -45,18 +45,18 @@ class SymbolModel:
     time_dependent: bool = False
 
     def __post_init__(self):
-        used = set(self.A.names) | set(self.V.names)
-        for j in self.jumps:
-            used |= set(j.lam.names)
-        if "t" in used and not self.time_dependent:
+        if "t" in self.names and not self.time_dependent:
             raise SymbolError("coefficients reference t but time_dependent is false")
 
     @property
+    def names(self):
+        """Variables referenced by any coefficient field."""
+        return self.A.names.union(self.V.names,
+                                  *(j.lam.names for j in self.jumps))
+
+    @property
     def spatially_homogeneous(self):
-        used = set(self.A.names) | set(self.V.names)
-        for j in self.jumps:
-            used |= set(j.lam.names)
-        return "x" not in used
+        return "x" not in self.names
 
 
 def make_symbol(A="0", V="0", jumps=(), time_dependent=False):
@@ -75,35 +75,6 @@ def _guard_p(m, p):
             raise RangeError(f"|p*nu| exceeds {EXP_GUARD:g} for nu={j.nu:g}")
 
 
-def eval_P(m, x, p, t=0.0):
-    _guard_p(m, p)
-    out = _coef(m.A, x, t) * p * p + _coef(m.V, x, t)
-    for j in m.jumps:
-        out = out + _coef(j.lam, x, t) * (np.exp(p * j.nu) - 1.0)
-    return out
-
-
-def eval_dP_dp(m, x, p, t=0.0):
-    _guard_p(m, p)
-    out = 2.0 * _coef(m.A, x, t) * p
-    for j in m.jumps:
-        out = out + _coef(j.lam, x, t) * j.nu * np.exp(p * j.nu)
-    return out
-
-
-def eval_hess(m, x, p, t=0.0):
-    """d2P/dp2: analytic, strictly positive when A>0 or any rate is active.
-
-    Result shape follows numpy broadcasting; a constant diffusion with no
-    jumps yields a scalar even for array arguments.
-    """
-    _guard_p(m, p)
-    out = 2.0 * _coef(m.A, x, t)
-    for j in m.jumps:
-        out = out + _coef(j.lam, x, t) * j.nu * j.nu * np.exp(p * j.nu)
-    return out
-
-
 def _dx_expr(e, x, t, step=FD_STEP_1):
     h = step * (1.0 + np.abs(x))
     return (expr.evaluate(e, x=x + h, t=t) - expr.evaluate(e, x=x - h, t=t)) / (2.0 * h)
@@ -117,37 +88,57 @@ def _dxx_expr(e, x, t, step=FD_STEP_2):
     return (fp - 2.0 * f0 + fm) / (h * h)
 
 
-def eval_dP_dx(m, x, p, t=0.0):
+def _p_derivative(m, x, p, t, coef, order):
+    """d^order P / dp^order (order 0, 1 or 2) with every coefficient field
+    mapped through ``coef(e, x, t)``: its value or one of its x-derivatives."""
     _guard_p(m, p)
-    out = _dx_expr(m.A, x, t) * p * p + _dx_expr(m.V, x, t)
+    if order == 0:
+        out = coef(m.A, x, t) * p * p + coef(m.V, x, t)
+    elif order == 1:
+        out = 2.0 * coef(m.A, x, t) * p
+    else:
+        out = 2.0 * coef(m.A, x, t)
     for j in m.jumps:
-        out = out + _dx_expr(j.lam, x, t) * (np.exp(p * j.nu) - 1.0)
+        w = coef(j.lam, x, t)
+        for _ in range(order):
+            w = w * j.nu
+        e = np.exp(p * j.nu)
+        out = out + w * (e - 1.0 if order == 0 else e)
     return out
+
+
+def eval_P(m, x, p, t=0.0):
+    return _p_derivative(m, x, p, t, _coef, 0)
+
+
+def eval_dP_dp(m, x, p, t=0.0):
+    return _p_derivative(m, x, p, t, _coef, 1)
+
+
+def eval_hess(m, x, p, t=0.0):
+    """d2P/dp2: analytic, strictly positive when A>0 or any rate is active.
+
+    Result shape follows numpy broadcasting; a constant diffusion with no
+    jumps yields a scalar even for array arguments.
+    """
+    return _p_derivative(m, x, p, t, _coef, 2)
+
+
+def eval_dP_dx(m, x, p, t=0.0):
+    return _p_derivative(m, x, p, t, _dx_expr, 0)
 
 
 def eval_d2P_dxdp(m, x, p, t=0.0):
     """Mixed derivative; its negative is the zero-order transport coefficient."""
-    _guard_p(m, p)
-    out = 2.0 * _dx_expr(m.A, x, t) * p
-    for j in m.jumps:
-        out = out + _dx_expr(j.lam, x, t) * j.nu * np.exp(p * j.nu)
-    return out
+    return _p_derivative(m, x, p, t, _dx_expr, 1)
 
 
 def eval_d2P_dx2(m, x, p, t=0.0):
-    _guard_p(m, p)
-    out = _dxx_expr(m.A, x, t) * p * p + _dxx_expr(m.V, x, t)
-    for j in m.jumps:
-        out = out + _dxx_expr(j.lam, x, t) * (np.exp(p * j.nu) - 1.0)
-    return out
+    return _p_derivative(m, x, p, t, _dxx_expr, 0)
 
 
 # ---------------------------------------------------------------------------
 # velocity inversion (Legendre data)
-
-
-def _dPdp_batch(m, x, p, t):
-    return eval_dP_dp(m, x, p, t)
 
 
 def legendre_batch(m, x, v, t=0.0):
@@ -164,15 +155,15 @@ def legendre_batch(m, x, v, t=0.0):
 
     lo = np.full_like(v, P_BOX[0])
     hi = np.full_like(v, P_BOX[1])
-    g_lo = _dPdp_batch(m, x_arr, lo, t) - v
-    g_hi = _dPdp_batch(m, x_arr, hi, t) - v
+    g_lo = eval_dP_dp(m, x_arr, lo, t) - v
+    g_hi = eval_dP_dp(m, x_arr, hi, t) - v
     ok = (g_lo <= 0.0) & (g_hi >= 0.0)
 
     p = np.where(ok, 0.5 * (lo + hi), np.nan)
     # Newton with bisection fallback; dP/dp is increasing so the bracket shrinks
     for _ in range(110):
         with np.errstate(all="ignore"):
-            g = _dPdp_batch(m, x_arr, np.where(ok, p, 0.0), t) - v
+            g = eval_dP_dp(m, x_arr, np.where(ok, p, 0.0), t) - v
             hess = eval_hess(m, x_arr, np.where(ok, p, 0.0), t)
             lo = np.where(ok & (g < 0), p, lo)
             hi = np.where(ok & (g > 0), p, hi)

@@ -85,26 +85,18 @@ def _extended_path(gd, rec):
     if rec.e is None:
         raise VerifyError(f"shock {rec.id} carries no amplitude samples")
     by_id = {r.id: r for r in gd.shocks}
-    cols = {"t": [rec.times], "x": [rec.x_s], "c": [rec.c], "e": [rec.e],
-            "p_l": [rec.p_l], "p_r": [rec.p_r]}
+    rows = [(rec.times, rec.x_s, rec.c, rec.e, rec.p_l, rec.p_r)]
     if rec.t_birth < float(rec.times[0]) - 1e-15:
         e0 = sum(by_id[i].e_end for i in rec.parents) if rec.parents else 0.0
-        cols["t"].insert(0, np.array([rec.t_birth]))
-        cols["x"].insert(0, np.array([rec.x_birth]))
-        cols["c"].insert(0, rec.c[:1])
-        cols["e"].insert(0, np.array([float(e0)]))
-        cols["p_l"].insert(0, rec.p_l[:1])
-        cols["p_r"].insert(0, rec.p_r[:1])
+        rows.insert(0, (rec.t_birth, rec.x_birth, rec.c[0], e0,
+                        rec.p_l[0], rec.p_r[0]))
     if rec.merged_into >= 0 and rec.t_end is not None \
             and rec.t_end > float(rec.times[-1]) + 1e-15:
-        child = by_id[rec.merged_into]
-        cols["t"].append(np.array([rec.t_end]))
-        cols["x"].append(np.array([child.x_birth]))
-        cols["c"].append(rec.c[-1:])
-        cols["e"].append(np.array([float(rec.e_end)]))
-        cols["p_l"].append(rec.p_l[-1:])
-        cols["p_r"].append(rec.p_r[-1:])
-    return {k: np.concatenate(v) for k, v in cols.items()}
+        rows.append((rec.t_end, by_id[rec.merged_into].x_birth, rec.c[-1],
+                     rec.e_end, rec.p_l[-1], rec.p_r[-1]))
+    return {k: np.concatenate([np.atleast_1d(np.asarray(r[i], dtype=float))
+                               for r in rows])
+            for i, k in enumerate(("t", "x", "c", "e", "p_l", "p_r"))}
 
 
 def _segment_grid(edges, panels, nudge):
@@ -206,7 +198,7 @@ def identity_residuals(gd, zeta, levels, u_field=None, a_mode=None,
             stop = part.stop
             u = f["u"][part] if u_field is None \
                 else np.asarray(u_field(t, x_all), dtype=float)
-            a = a_eval(x_all, f["p"][part], u, t) + np.zeros_like(x_all)
+            a = a_eval(x_all, f["p"][part], u, t)
             integrand = f["R"][part] * (zeta.d_t(x_all, t)
                                         + u * zeta.d_x(x_all, t)
                                         - a * zeta.value(x_all, t))
@@ -227,8 +219,7 @@ def identity_residuals(gd, zeta, levels, u_field=None, a_mode=None,
                 e = e * e_scale
             p_l = np.interp(tt, path["t"], path["p_l"])
             p_r = np.interp(tt, path["t"], path["p_r"])
-            fr = density._friction_at_shock(fan, x_s, p_l, p_r, c, tt, mode) \
-                + np.zeros_like(tt)
+            fr = density._friction_at_shock(fan, x_s, p_l, p_r, c, tt, mode)
             integrand = e * (zeta.d_t(x_s, tt) + c * zeta.d_x(x_s, tt)
                              - fr * zeta.value(x_s, tt))
             totals[j] += float(np.dot(ww, integrand))

@@ -152,3 +152,52 @@ def test_fan_csv_dump(tmp_path):
     assert len(lines) == 1 + 3 * 3
     val = float(lines[1].split(",")[1])
     assert val == -1.0
+
+
+def _old_state_at_blend(s, h, ya, yb, fa, fb):
+    # the formula Fan.state_at used before the shared helper
+    h00 = (1 + 2 * s) * (1 - s) ** 2
+    h10 = s * (1 - s) ** 2
+    h01 = s * s * (3 - 2 * s)
+    h11 = s * s * (s - 1)
+    return (h00 * ya + h10 * h * fa + h01 * yb + h11 * h * fb)
+
+
+def _old_cross_times_blend(tm, t0, h, Ja, Jb, fa, fb):
+    # the formula manifold._cross_times_rows used before the shared helper
+    s = (tm - t0) / h
+    h00 = (1 + 2 * s) * (1 - s) ** 2
+    h10 = s * (1 - s) ** 2
+    h01 = s * s * (3 - 2 * s)
+    h11 = s * s * (s - 1)
+    return h00 * Ja + h10 * h * fa + h01 * Jb + h11 * h * fb
+
+
+def test_cubic_hermite_matches_old_formulas():
+    rng = np.random.default_rng(11)
+    ya, yb, fa, fb = rng.normal(size=(4, 257))
+    t0, h = 0.3125, 2.5e-3
+    for s in (0.0, 1e-3, 0.25, 0.5, 0.7, 1.0):
+        assert np.array_equal(ch._cubic_hermite(s, h, ya, yb, fa, fb),
+                              _old_state_at_blend(s, h, ya, yb, fa, fb))
+    # per-row fractions, as in the bisection of J(t) = 0
+    tm = t0 + h * rng.uniform(size=257)
+    new = ch._cubic_hermite((tm - t0) / h, h, ya, yb, fa, fb)
+    assert np.array_equal(new, _old_cross_times_blend(tm, t0, h, ya, yb,
+                                                      fa, fb))
+
+
+def test_dense_output_uses_stored_nodes():
+    fan = ch.integrate_fan(BURGERS, "log(sech(x))", np.linspace(-2, 2, 81),
+                           T=0.5, h_t=0.01, store_every=5)
+    k = 3
+    ya = {f: getattr(fan, f)[k] for f in ch._FIELDS}
+    yb = {f: getattr(fan, f)[k + 1] for f in ch._FIELDS}
+    fa, fb = fan.node_rhs(k), fan.node_rhs(k + 1)
+    ta, tb = fan.times[k], fan.times[k + 1]
+    t = ta + 0.37 * (tb - ta)
+    st = fan.state_at(t)
+    for f in ch._FIELDS:
+        old = _old_state_at_blend((t - ta) / (tb - ta), tb - ta, ya[f], yb[f],
+                                  fa[f], fb[f])
+        assert np.array_equal(st[f], old)

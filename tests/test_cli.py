@@ -120,6 +120,11 @@ def test_exit_codes(tmp_path, capsys):
                      str(tmp_path / "missing.ini")]) == 66
     assert cli.main(["evolve"]) == 2                       # no scenario flag
     assert cli.main(["evolve", "--scenario", bad_expr, "--oops", "1"]) == 2
+    # [symbol] coefficients are functions of x only
+    with_t = write_ini(tmp_path, MINIMAL.replace("A = 0.5", "A = 0.5 + 0*t"),
+                       "with_t.ini")
+    assert cli.main(["evolve", "--scenario", with_t]) == 2
+    assert "[symbol] A: unknown identifier 't'" in capsys.readouterr().err
     good = write_ini(tmp_path, MINIMAL, "good.ini")
     assert cli.main(["evolve", "--scenario", good, "--threads", "zero"]) == 2
     assert cli.main(["evolve", "--scenario", good, "--seed", "-3"]) == 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tunnelshock import characteristics, density, manifold, symbol
+from tunnelshock import characteristics, density, expr, manifold, symbol
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +40,7 @@ def test_fold_contact_raises(burgers):
     fan = characteristics.integrate_fan(
         burgers, "0-x^2/2", x0, T=1.0, h_t=0.01,
         S0_prime="0-x", S0_second="x*0-1")
-    gd = density.GeneralizedDensity(fan=fan, rho0=density._as_expression("1"))
+    gd = density.GeneralizedDensity(fan=fan, rho0=expr.as_expression("1"))
     with pytest.raises(density.DensityError):
         gd.regular(1.0 - 1e-13, np.array([0.0]))
 
@@ -130,3 +130,40 @@ def test_transport_pde_residual(rarefaction_damped):
     R0, _ = uR(t0, xs)
     resid = dR_dt + dflux + 1.0 * R0
     assert np.max(np.abs(resid)) < 1e-5
+
+
+def _old_friction_at_shock(fan, x_s, p_l, p_r, c, t, a_mode=None):
+    # the damping term of point masses before it reused the bulk one; its
+    # callers added np.zeros_like(x_s)
+    if a_mode is None:
+        a_mode = fan.a_mode
+    if a_mode == "auto":
+        p_bar = 0.5 * (np.asarray(p_l) + np.asarray(p_r))
+        return -symbol.eval_d2P_dxdp(fan.symbol, x_s, p_bar, t) + 0.0 * p_bar
+    if isinstance(a_mode, str):
+        a_mode = expr.parse(a_mode, allowed_names=("x", "u"))
+    return expr.evaluate(a_mode, x=np.asarray(x_s), u=np.asarray(c)) \
+        + 0.0 * np.asarray(x_s)
+
+
+@pytest.mark.parametrize("a_mode", [None, "auto", "x*0+1", "0.3*x - u^2",
+                                    "0*x"])
+def test_friction_matches_old_formula(a_mode):
+    # x-dependent diffusion plus a jump, so auto mode has a nonzero a
+    m = symbol.make_symbol(A="0.5*(1+0.5*sin(x))",
+                           jumps=((1.0, "0.2*exp(0-x^2)"),))
+    fan = characteristics.integrate_fan(
+        m, "0-x^2/2", np.linspace(-1.0, 1.0, 11), T=0.1, h_t=0.01,
+        S0_prime="0-x", S0_second="x*0-1")
+    rng = np.random.default_rng(5)
+    x_s = np.concatenate([rng.uniform(-1, 1, 40), [0.0, -0.0]])
+    p_l = np.concatenate([rng.uniform(-1, 1, 40), [0.0, 0.0]])
+    p_r = np.concatenate([rng.uniform(-1, 1, 40), [0.0, -0.0]])
+    c = np.concatenate([rng.uniform(-1, 1, 40), [0.0, -0.0]])
+    t = np.linspace(0.0, 0.1, 42)
+    new = density._friction_at_shock(fan, x_s, p_l, p_r, c, t, a_mode)
+    old = _old_friction_at_shock(fan, x_s, p_l, p_r, c, t, a_mode) \
+        + np.zeros_like(x_s)
+    assert new.shape == x_s.shape
+    # bit for bit, signs of zeros included
+    assert np.array_equal(new.view(np.int64), old.view(np.int64))

@@ -56,6 +56,20 @@ def test_variables_and_arrays():
     assert np.allclose(out, xs**2 + 2.0)
 
 
+def test_as_expression_and_evaluate_at():
+    e = expr.as_expression("0*x - 1", ("x",))
+    assert expr.as_expression(e) is e
+    with pytest.raises(UnknownNameError):
+        expr.as_expression("x + t", ("x",))
+    xs = np.array([-2.0, 0.0, 3.0])
+    out = expr.evaluate_at(expr.as_expression("2"), xs)  # broadcast constant
+    assert out.shape == xs.shape and np.all(out == 2.0)
+    # 0*x is -0.0 at negative x; the broadcast zeros turn it into +0.0
+    zero = expr.evaluate_at(expr.as_expression("0*x"), xs)
+    assert not np.any(np.signbit(zero))
+    assert expr.evaluate_at(e, 1.5) == -1.0
+
+
 def test_syntax_error_offset_and_expected():
     with pytest.raises(ExpressionSyntaxError) as info:
         parse("x+")

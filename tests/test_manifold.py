@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -330,3 +332,92 @@ def test_vectorized_decompose_matches_loop():
         assert [b.index for b in curve.branches] == list(range(len(got)))
         assert [(f.x0, f.x, f.left_branch, f.right_branch)
                 for f in curve.folds] == folds
+
+
+def _old_find_singularities(fan):
+    # the per-label loop find_singularities ran before the vectorized
+    # first-crossing index
+    def row_cross_step(row):
+        neg = np.nonzero(fan.J[:, row] <= 0.0)[0]
+        return int(neg[0]) if neg.size else None
+
+    first = np.array([np.inf if row_cross_step(r) is None
+                      else row_cross_step(r) for r in range(fan.n_rows)])
+    folding = np.isfinite(first)
+    if not np.any(folding):
+        return []
+    (idx,) = np.nonzero(folding)
+    bounds, start = [], idx[0]
+    for a, b in zip(idx[:-1], idx[1:]):
+        if b != a + 1:
+            bounds.append((start, a))
+            start = b
+    bounds.append((start, idx[-1]))
+    events = []
+    for lo, hi in bounds:
+        rows = np.arange(lo, hi + 1)
+        steps = first[rows]
+        kmin = int(np.min(steps))
+        tied = rows[steps == kmin]
+        t_tied = manifold._cross_times_rows(fan, tied, kmin)
+        j = int(np.argmin(t_tied))
+        r_best, t_best = int(tied[j]), float(t_tied[j])
+        cand, ts = [r_best], [t_best]
+        for r in (r_best - 1, r_best + 1):
+            if lo <= r <= hi and first[r] < np.inf:
+                if r in tied:
+                    ts.append(float(t_tied[list(tied).index(r)]))
+                else:
+                    ts.append(float(manifold._cross_times_rows(
+                        fan, [r], int(first[r]))[0]))
+                cand.append(r)
+        order = np.argsort([fan.x0[c] for c in cand])
+        cand = [cand[i] for i in order]
+        ts = [ts[i] for i in order]
+        x0_star = t_star = None
+        if len(cand) == 3:
+            xs0 = fan.x0[cand]
+            c2 = np.polyfit(xs0, ts, 2)
+            if c2[0] > 0:
+                x0_star = float(-c2[1] / (2 * c2[0]))
+                x0_star = float(np.clip(x0_star, xs0[0], xs0[-1]))
+                t_star = float(np.polyval(c2, x0_star))
+        if x0_star is None:
+            j = int(np.argmin(ts))
+            x0_star, t_star = float(fan.x0[cand[j]]), float(ts[j])
+        state = fan.state_at(min(t_star, float(fan.times[-1])))
+        x_star = float(np.interp(x0_star, fan.x0, state["x"]))
+        events.append(manifold.SingularPoint(t=t_star, x=x_star, x0=x0_star,
+                                             rows=(int(lo), int(hi))))
+    events.sort(key=lambda e: e.t)
+    return events
+
+
+@pytest.mark.parametrize("s0, s0p", [
+    ("log(sech(x))", "0-tanh(x)"),                       # one centred fold
+    ("log(sech(x)) + 0.5*x", "0.5-tanh(x)"),             # moving fold
+    ("0.1*(log(sech((x+1)/0.1)) + log(sech((x-1)/0.1)))",
+     "0-tanh((x+1)/0.1)-tanh((x-1)/0.1)"),               # two clusters
+    ("0.3*log(sech((x+1)/0.3)) + 0.05*log(sech((x-1.2)/0.05))",
+     "0-tanh((x+1)/0.3)-tanh((x-1.2)/0.05)"),            # unequal clusters
+])
+def test_vectorized_singularities_match_loop(burgers, s0, s0p):
+    fan = characteristics.integrate_fan(
+        burgers, s0, np.linspace(-3.0, 3.0, 601), T=1.2, h_t=5e-3,
+        store_every=2, S0_prime=s0p)
+    new = manifold.find_singularities(fan)
+    assert new
+    assert new == _old_find_singularities(fan)
+
+
+@pytest.mark.parametrize("gap", [1, 2])
+def test_vectorized_singularities_split_clusters(tanh_fan, gap):
+    # rows that never fold cut the folding cluster into pieces
+    J = tanh_fan.J.copy()
+    mid = tanh_fan.n_rows // 2
+    J[:, mid:mid + gap] = 1.0
+    J[:, mid + 40:mid + 40 + gap] = 1.0
+    fan = dataclasses.replace(tanh_fan, J=J)
+    new = manifold.find_singularities(fan)
+    assert len(new) == 3
+    assert new == _old_find_singularities(fan)

@@ -103,6 +103,53 @@ def test_godunov_velocity_matches_characteristics(tanh_fan, m_burgers):
     assert err <= 5e-2
 
 
+def _bisection_sonic_point(m, t=0.0):
+    # the 90-step bisection godunov used before the shared Newton solve
+    lo, hi = symbol.P_BOX
+    if symbol.eval_dP_dp(m, 0.0, lo, t) >= 0.0:
+        return lo
+    if symbol.eval_dP_dp(m, 0.0, hi, t) <= 0.0:
+        return hi
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        if symbol.eval_dP_dp(m, 0.0, mid, t) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+SONIC_SYMBOLS = {
+    "constant_A": dict(A="0.6"),
+    "A_plus_V": dict(A="0.5", V="0.3"),
+    "jump_up": dict(jumps=((1.0, "0.7"),)),        # dP/dp > 0: lower edge
+    "jump_down": dict(jumps=((-1.0, "0.7"),)),     # dP/dp < 0: upper edge
+    "mixed": dict(A="0.4", V="0.2", jumps=((1.0, "0.5"), (-1.0, "0.3"))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SONIC_SYMBOLS))
+def test_sonic_point_matches_bisection(name, monkeypatch):
+    m = symbol.make_symbol(**SONIC_SYMBOLS[name])
+    new, old = oracle._sonic_point(m), _bisection_sonic_point(m)
+    if old in symbol.P_BOX:
+        assert new == old  # box-edge clipping
+    else:
+        assert abs(new - old) < 1e-14
+        assert abs(float(symbol.eval_dP_dp(m, 0.0, new))) < 1e-13
+
+    def run():
+        return oracle.godunov(m, lambda x: np.where(x < 0, -1.0, 1.2),
+                              (-2.0, 2.0), 400, T=0.5,
+                              store_times=(0.25, 0.5))
+
+    sol = run()
+    monkeypatch.setattr(oracle, "_sonic_point", _bisection_sonic_point)
+    ref = run()
+    assert np.array_equal(sol.v, ref.v)
+    assert np.array_equal(sol.shock_x, ref.shock_x)
+
+
 # ----------------------------------------------------------------- lattice
 
 

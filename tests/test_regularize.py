@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -37,8 +39,6 @@ def test_params_validation():
         regularize.RegularizationParams(1e-2, -0.1)
     with pytest.raises(regularize.RegularizeError):
         regularize.RegularizationParams(1e-2, 0.05)  # eps > beta**2
-    with pytest.raises(regularize.RegularizeError):
-        regularize.RegularizationParams(1e-2, 0.1, t1=-1.0)
     with pytest.raises(regularize.RegularizeError):
         regularize.RegularizationParams(1e-2, 0.1, B_profile="cubic")
 
@@ -86,6 +86,44 @@ def test_insertion_jump_symbol_roundtrip_and_range_error(m_jump):
         assert abs(np.exp(p1) - ins.speed(x0)) < 1e-9
     with pytest.raises(regularize.RegularizeError):
         ins.u1(1.5)  # target speed drops below the symbol's range
+
+
+def _old_u1(ins, x0, t=0.0):
+    # the per-label safeguarded Newton loop Insertion.u1 ran before it
+    # called symbol.legendre_batch
+    out = []
+    for v in np.atleast_1d(ins.speed(x0, t)):
+        a, c = symbol.P_BOX
+        p = 0.5 * (ins.p_l0 + ins.p_r0)
+        for _ in range(80):
+            f = float(symbol.eval_dP_dp(ins.symbol, ins.x0_star, p, t)) - v
+            if f > 0.0:
+                c = p
+            else:
+                a = p
+            h = float(symbol.eval_hess(ins.symbol, ins.x0_star, p, t))
+            p_new = p - (f / h if h > 0.0 else math.inf)
+            if not (a < p_new < c):
+                p_new = 0.5 * (a + c)
+            if abs(p_new - p) < 1e-14 * (1.0 + abs(p)):
+                p = p_new
+                break
+            p = p_new
+        out.append(p)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("sym", [dict(A="0.5"), dict(jumps=((1.0, "1"),)),
+                                 dict(A="0.3", jumps=((1.0, "0.5"),
+                                                      (-1.0, "0.2")))])
+def test_insertion_u1_matches_old_newton_loop(sym):
+    m = symbol.make_symbol(**sym)
+    ins = regularize.build_insertion(m, "0-tanh(2*x)", 0.1, 0.2)
+    x0 = np.linspace(-0.1, 0.3, 41)
+    new = ins.u1(x0)
+    assert new.shape == x0.shape
+    assert np.max(np.abs(new - _old_u1(ins, x0))) < 1e-13
+    assert np.ndim(ins.u1(0.05)) == 0
 
 
 def test_insertion_rejects_inhomogeneous_symbol():
