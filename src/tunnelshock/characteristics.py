@@ -177,6 +177,8 @@ def integrate_fan(m, S0, x0, T, h_t, a_mode="auto", store_every=1,
         a_mode: "auto" for -d2P/dxdp along paths, or an expression in (x, u).
         working_box: optional (lo, hi); rows leaving it freeze with their
             escape time recorded instead of aborting the fan.
+        S0_prime, S0_second: optional overrides for S0' and S0''; by
+            default they are the exact derivatives of S0 and of S0_prime.
         initial: optional dict of starting fields (x, p, S, J, dp, a_int)
             for fans launched from a prepared curve rather than S0.
     """
@@ -191,17 +193,18 @@ def integrate_fan(m, S0, x0, T, h_t, a_mode="auto", store_every=1,
     if n_steps % store_every != 0:
         raise CharacteristicsError("store_every must divide the step count")
 
-    S0, S0_prime, S0_second = (expr.as_expression(e)
-                               for e in (S0, S0_prime, S0_second))
     if initial is None:
+        S0 = expr.as_expression(S0)
+        S0_prime = (expr.diff(S0) if S0_prime is None
+                    else expr.as_expression(S0_prime))
+        S0_second = (expr.diff(S0_prime) if S0_second is None
+                     else expr.as_expression(S0_second))
         y = {
             "x": x0.copy(),
-            "p": (symbol._dx_expr(S0, x0, 0.0) if S0_prime is None
-                  else expr.evaluate_at(S0_prime, x0, t=0.0)),
+            "p": expr.evaluate_at(S0_prime, x0, t=0.0),
             "S": expr.evaluate_at(S0, x0, t=0.0),
             "J": np.ones_like(x0),
-            "dp": (symbol._dxx_expr(S0, x0, 0.0) if S0_second is None
-                   else expr.evaluate_at(S0_second, x0, t=0.0)),
+            "dp": expr.evaluate_at(S0_second, x0, t=0.0),
             "a_int": np.zeros_like(x0),
         }
     else:
@@ -258,11 +261,11 @@ def jacobian_check(fan, i_t=None):
 
 
 def fan_to_csv(fan, path):
-    """Dump (t, x0, x, p, S, J, a_int) rows, time-major then label order."""
-    from .textio import write_csv
-    rows = []
-    for i, t in enumerate(fan.times):
-        for j in range(fan.n_rows):
-            rows.append((t, fan.x0[j], fan.x[i, j], fan.p[i, j],
-                         fan.S[i, j], fan.J[i, j], fan.a_int[i, j]))
-    write_csv(path, ("t", "x0", "x", "p", "S", "J", "a_int"), rows)
+    """Dump (t, x0, x, p, S, J, a_int) rows, time-major then label order,
+    with the 17-digit float text of ``textio.format_float``."""
+    n_t = fan.times.size
+    table = np.column_stack(
+        (np.repeat(fan.times, fan.n_rows), np.tile(fan.x0, n_t))
+        + tuple(getattr(fan, f).ravel() for f in ("x", "p", "S", "J", "a_int")))
+    np.savetxt(path, table, fmt="%.17g", delimiter=",",
+               header="t,x0,x,p,S,J,a_int", comments="")

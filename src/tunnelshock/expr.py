@@ -5,6 +5,7 @@ Grammar (precedence low to high): ``+ -`` < ``* /`` < unary ``-`` < ``^``
 the builtin functions, and parenthesized subexpressions.  Evaluation is
 numpy-backed, so scalars and arrays broadcast alike; any non-finite
 intermediate is reported as a domain error instead of propagating.
+``diff`` takes the exact x-derivative of an expression symbolically.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ _UNARY_FN = {
     "tanh": np.tanh,
     "sech": lambda v: 1.0 / np.cosh(v),
     "abs": np.abs,
+    "sign": np.sign,  # internal: derivatives of abs/min/max; not parseable
 }
 _NARY_FN = {"min": np.minimum, "max": np.maximum}
 
@@ -113,12 +115,13 @@ def _tokenize(source):
 class Expression:
     """A parsed expression over a fixed set of variable names."""
 
-    __slots__ = ("source", "ast", "names")
+    __slots__ = ("source", "ast", "names", "_dx")
 
     def __init__(self, source, ast, names):
         self.source = source
         self.ast = ast
         self.names = frozenset(names)
+        self._dx = None  # d/dx, derived on first use by ``diff``
 
     def __call__(self, **env):
         return evaluate(self, **env)
@@ -315,6 +318,174 @@ def evaluate_at(e, x, **env):
     """
     x = np.asarray(x, dtype=float)
     return evaluate(e, x=x, **env) + np.zeros_like(x)
+
+
+# ---------------------------------------------------------------------------
+# symbolic d/dx with constant folding
+
+_ZERO = ("num", 0.0)
+_ONE = ("num", 1.0)
+
+
+def _names_in(node):
+    """Variable names a tree references."""
+    tag = node[0]
+    if tag == "var":
+        return {node[1]}
+    if tag == "neg":
+        return _names_in(node[1])
+    if tag == "bin":
+        return _names_in(node[2]) | _names_in(node[3])
+    if tag == "call":
+        return set().union(*(_names_in(a) for a in node[2]))
+    return set()
+
+
+def _has_x(node):
+    return "x" in _names_in(node)
+
+
+def _folded(node):
+    """``node`` with all-number operands replaced by its value, computed as
+    evaluation would; a non-finite value stays unfolded so that evaluating
+    it still reports the domain error."""
+    try:
+        with np.errstate(all="ignore"):
+            return ("num", float(_eval(node, {})))
+    except EvalDomainError:
+        return node
+
+
+def _neg(a):
+    if a[0] == "num":
+        return ("num", -a[1])
+    if a[0] == "neg":
+        return a[1]
+    if a[0] == "bin" and a[1] == "*" and a[2][0] == "num":
+        return ("bin", "*", ("num", -a[2][1]), a[3])
+    return ("neg", a)
+
+
+def _bin(op, a, b):
+    """Binary node with constant folding and the exact identities
+    a+0, a-0, 0-a, a*0, a*1, a/1, a^1 and a^0."""
+    ca = a[1] if a[0] == "num" else None
+    cb = b[1] if b[0] == "num" else None
+    if ca is not None and cb is not None:
+        return _folded(("bin", op, a, b))
+    if op == "+" and ca == 0.0:
+        return b
+    if op in "+-" and cb == 0.0:
+        return a
+    if op == "-" and ca == 0.0:
+        return _neg(b)
+    if op == "*":
+        if ca == 0.0 or cb == 0.0:
+            return _ZERO
+        if ca == 1.0:
+            return b
+    if op in "*/^" and cb == 1.0:
+        return a
+    if op == "^" and cb == 0.0:
+        return _ONE
+    return ("bin", op, a, b)
+
+
+def _call(fname, *args):
+    node = ("call", fname, args)
+    return _folded(node) if all(a[0] == "num" for a in args) else node
+
+
+def _fold(node):
+    """Fold every variable-free subtree of a parsed tree to its value."""
+    tag = node[0]
+    if tag == "neg":
+        return _neg(_fold(node[1]))
+    if tag == "bin":
+        return _bin(node[1], _fold(node[2]), _fold(node[3]))
+    if tag == "call":
+        return _call(node[1], *(_fold(a) for a in node[2]))
+    return node
+
+
+def _kink(fname, a, b, da, db):
+    """Derivative of min(a, b) or max(a, b): the derivative of the selected
+    argument, and the mean of both at a tie, as central differences give."""
+    if da == db:
+        return da
+    lead = _bin("-", b, a) if fname == "min" else _bin("-", a, b)
+    mean = _bin("*", ("num", 0.5), _bin("+", da, db))
+    half = _bin("*", ("num", 0.5), _bin("-", da, db))
+    return _bin("+", mean, _bin("*", _call("sign", lead), half))
+
+
+def _d(node):
+    """d node / dx as a folded tree."""
+    if not _has_x(node):
+        return _ZERO
+    tag = node[0]
+    if tag == "var":
+        return _ONE
+    if tag == "neg":
+        return _neg(_d(node[1]))
+    if tag == "bin":
+        op, a, b = node[1], node[2], node[3]
+        da, db = _d(a), _d(b)
+        if op in "+-":
+            return _bin(op, da, db)
+        if op == "*":
+            return _bin("+", _bin("*", da, b), _bin("*", a, db))
+        if op == "/":
+            # (a/b)' = (a' - (a/b) b') / b, which avoids squaring b
+            return _bin("/", _bin("-", da, _bin("*", node, db)), b)
+        if not _has_x(b):
+            # power rule: a^2 differentiates to 2*a, never through log(a)
+            return _bin("*", _bin("*", b, _bin("^", a, _bin("-", b, _ONE))),
+                        da)
+        # a^b = exp(b log a): (a^b)' = a^b (b' log a + b a'/a)
+        rate = _bin("*", db, _call("log", a))
+        if _has_x(a):
+            rate = _bin("+", rate, _bin("/", _bin("*", b, da), a))
+        return _bin("*", node, rate)
+    fname, args = node[1], node[2]
+    if fname in _NARY_FN:
+        r, dr = args[0], _d(args[0])
+        for a in args[1:]:
+            dr = _kink(fname, r, a, dr, _d(a))
+            r = ("call", fname, (r, a))
+        return dr
+    a = args[0]
+    if fname == "sign":
+        return _ZERO
+    if fname == "exp":
+        outer = node
+    elif fname == "log":
+        return _bin("/", _d(a), a)
+    elif fname == "sin":
+        outer = _call("cos", a)
+    elif fname == "cos":
+        outer = _neg(_call("sin", a))
+    elif fname == "tanh":
+        outer = _bin("^", _call("sech", a), ("num", 2.0))
+    elif fname == "sech":
+        outer = _neg(_bin("*", node, _call("tanh", a)))
+    else:  # abs; sign(0) = 0 is the central-difference limit at the kink
+        outer = _call("sign", a)
+    return _bin("*", outer, _d(a))
+
+
+def diff(e):
+    """Exact d/dx of Expression ``e``, derived once and cached on ``e``.
+
+    Constant subtrees are folded, so a derivative that does not depend on
+    the variables has a ``("num", value)`` tree.  The result is evaluated
+    like any Expression, with the same per-node finiteness checks; its
+    source text may use the internal ``sign()`` and does not reparse.
+    """
+    if e._dx is None:
+        ast = _d(_fold(e.ast))
+        e._dx = Expression(_unparse(ast, 0), ast, _names_in(ast))
+    return e._dx
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 A model is P(x, p) = A(x) p^2 + V(x) + sum_k lambda_k(x) (e^{p nu_k} - 1),
 with coefficient fields given as parsed expressions (optionally time
-dependent).  Derivatives in p are analytic; derivatives in x fall back to
-central differences on the coefficient expressions.
+dependent).  Derivatives in p are analytic; derivatives in x are exact too,
+taken symbolically from the coefficient expressions (``expr.diff``).
 """
 
 from dataclasses import dataclass, field
@@ -14,9 +14,6 @@ from . import expr
 
 P_BOX = (-20.0, 20.0)  # momentum working box for root solves
 EXP_GUARD = 700.0  # |p*nu| beyond this would overflow exp
-
-FD_STEP_1 = 1e-6  # relative central-difference step, first derivatives
-FD_STEP_2 = 2e-4  # second derivatives (balances truncation vs roundoff)
 
 
 class SymbolError(ValueError):
@@ -75,17 +72,17 @@ def _guard_p(m, p):
             raise RangeError(f"|p*nu| exceeds {EXP_GUARD:g} for nu={j.nu:g}")
 
 
-def _dx_expr(e, x, t, step=FD_STEP_1):
-    h = step * (1.0 + np.abs(x))
-    return (expr.evaluate(e, x=x + h, t=t) - expr.evaluate(e, x=x - h, t=t)) / (2.0 * h)
+def _dx(e, x, t):
+    """Exact d/dx of a coefficient field; a derivative that folds to a
+    number is returned without an evaluation."""
+    d = expr.diff(e)
+    if d.ast[0] == "num":
+        return d.ast[1]
+    return expr.evaluate(d, x=x, t=t)
 
 
-def _dxx_expr(e, x, t, step=FD_STEP_2):
-    h = step * (1.0 + np.abs(x))
-    fp = expr.evaluate(e, x=x + h, t=t)
-    f0 = expr.evaluate(e, x=x, t=t)
-    fm = expr.evaluate(e, x=x - h, t=t)
-    return (fp - 2.0 * f0 + fm) / (h * h)
+def _dxx(e, x, t):
+    return _dx(expr.diff(e), x, t)
 
 
 def _p_derivative(m, x, p, t, coef, order):
@@ -125,16 +122,16 @@ def eval_hess(m, x, p, t=0.0):
 
 
 def eval_dP_dx(m, x, p, t=0.0):
-    return _p_derivative(m, x, p, t, _dx_expr, 0)
+    return _p_derivative(m, x, p, t, _dx, 0)
 
 
 def eval_d2P_dxdp(m, x, p, t=0.0):
     """Mixed derivative; its negative is the zero-order transport coefficient."""
-    return _p_derivative(m, x, p, t, _dx_expr, 1)
+    return _p_derivative(m, x, p, t, _dx, 1)
 
 
 def eval_d2P_dx2(m, x, p, t=0.0):
-    return _p_derivative(m, x, p, t, _dxx_expr, 0)
+    return _p_derivative(m, x, p, t, _dxx, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ def test_jump_symbol_translation():
 
 
 def test_numeric_initial_momenta_match_exact():
-    # no S0_prime/S0_second provided: central differences supply them
+    # no S0_prime/S0_second provided: exact symbolic derivatives supply them
     x0 = np.linspace(-1.5, 1.5, 31)
     fan = ch.integrate_fan(BURGERS, "log(sech(x))", x0, T=0.5, h_t=0.01)
     assert np.allclose(fan.p[0], -np.tanh(x0), atol=1e-9)
