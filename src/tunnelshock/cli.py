@@ -87,11 +87,14 @@ def _run_evolve(sc, out, seed):
     ess_rows, den_rows, mass_rows = [], [], []
     for t in _slice_times(fan):
         xs = _slice_grid(gd, t)
-        data = gd.fields(t, xs)
+        # a grid point on a fold has no finite density: it keeps its
+        # essential.csv row and is left out of density.csv
+        data = gd.fields(t, xs, skip_folds=True)
         for i, x in enumerate(xs):
             ess_rows.append((t, x, data["S"][i], data["u"][i],
                              float(data["branch_id"][i])))
-            den_rows.append((t, x, data["R"][i]))
+            if not np.isnan(data["R"][i]):
+                den_rows.append((t, x, data["R"][i]))
         regular, singular, _, _ = density.mass_balance(gd, t)
         mass_rows.append((t, regular, singular, regular + singular))
     write_csv(os.path.join(out, "essential.csv"),

@@ -62,21 +62,26 @@ class GeneralizedDensity:
         """Regular density at points x: essential-branch divided Jacobian."""
         return self.fields(t, x)["R"]
 
-    def fields(self, t, x):
+    def fields(self, t, x, skip_folds=False):
         """Essential-branch data at points x in one slice pass.
 
         Returns a dict with R, S, p, u, x0 and branch_id arrays; everything is
         taken from the same minimizing branch so the entries are consistent
-        pointwise.
+        pointwise.  At a point on a fold (|J| < J_CONTACT_TOL) the regular
+        density is unbounded: that raises DensityError, or with skip_folds
+        gives R = NaN there and leaves the other entries as they are.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         ess = manifold.essential(self.curve_at(t), x)
-        if np.any(np.abs(ess.J) < J_CONTACT_TOL):
+        on_fold = np.abs(ess.J) < J_CONTACT_TOL
+        if np.any(on_fold) and not skip_folds:
             raise DensityError(
                 f"evaluation touches a fold(|J| < {J_CONTACT_TOL:g}) "
                 f"at t={float(t):g}")
-        R = (expr.evaluate_at(self.rho0, ess.x0, t=0.0)
-             * np.exp(-ess.a_int) / np.abs(ess.J))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            R = (expr.evaluate_at(self.rho0, ess.x0, t=0.0)
+                 * np.exp(-ess.a_int) / np.abs(ess.J))
+        R[on_fold] = np.nan
         return {"R": R, "S": ess.S, "p": ess.p, "u": ess.u, "x0": ess.x0,
                 "branch_id": ess.branch_id}
 

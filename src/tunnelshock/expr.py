@@ -478,7 +478,8 @@ def diff(e):
     """Exact d/dx of Expression ``e``, derived once and cached on ``e``.
 
     Constant subtrees are folded, so a derivative that does not depend on
-    the variables has a ``("num", value)`` tree.  The result is evaluated
+    the variables reads as a number through ``constant_value``.  The result
+    is evaluated
     like any Expression, with the same per-node finiteness checks; its
     source text may use the internal ``sign()`` and does not reparse.
     """
@@ -486,6 +487,12 @@ def diff(e):
         ast = _d(_fold(e.ast))
         e._dx = Expression(_unparse(ast, 0), ast, _names_in(ast))
     return e._dx
+
+
+def constant_value(e):
+    """The value of ``e`` when its tree is a single number, as it is for
+    every ``diff`` result that does not depend on the variables; else None."""
+    return e.ast[1] if e.ast[0] == "num" else None
 
 
 # ---------------------------------------------------------------------------

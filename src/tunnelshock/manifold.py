@@ -294,8 +294,21 @@ def find_singularities(fan):
         x_star = float(np.interp(x0_star, fan.x0, state["x"]))
         events.append(SingularPoint(t=t_star, x=x_star, x0=x0_star,
                                     rows=(int(lo), int(hi))))
-    events.sort(key=lambda e: e.t)
-    return events
+    return _time_order(events)
+
+
+def _time_order(events, tol=1e-12):
+    """Events by fold time; folds that coincide within ``tol`` (relative)
+    are ordered left to right, so symmetric folds, whose times differ in the
+    last bits only, always get the same shock ids."""
+    events = sorted(events, key=lambda e: e.t)
+    out = []
+    while events:
+        t0 = events[0].t
+        n = sum(1 for e in events if e.t - t0 <= tol * (1.0 + abs(t0)))
+        out.extend(sorted(events[:n], key=lambda e: e.x0))
+        events = events[n:]
+    return out
 
 
 def first_singularity(fan):

@@ -76,8 +76,9 @@ def _dx(e, x, t):
     """Exact d/dx of a coefficient field; a derivative that folds to a
     number is returned without an evaluation."""
     d = expr.diff(e)
-    if d.ast[0] == "num":
-        return d.ast[1]
+    value = expr.constant_value(d)
+    if value is not None:
+        return value
     return expr.evaluate(d, x=x, t=t)
 
 

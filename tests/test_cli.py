@@ -61,6 +61,23 @@ def test_evolve_rarefaction_density(tmp_path):
     assert (out / "fan.csv").exists()
 
 
+def test_evolve_leaves_fold_points_out_of_density(tmp_path):
+    # the front folds label 0 exactly at the stored t = 0.5, where the slice
+    # grid holds x = 0: that point keeps its essential row but has no density
+    out = tmp_path / "run"
+    rc = cli.main(["evolve", "--scenario", preset("limit_study.ini"),
+                   "--out", str(out)])
+    assert rc == 0
+    ess = read_csv(out / "essential.csv")
+    den = read_csv(out / "density.csv")
+    assert np.all(np.isfinite(den["R"]))
+    fold = np.abs(ess["t"] - 0.5) < 1e-12
+    assert np.count_nonzero(fold) == 241
+    assert np.count_nonzero(np.abs(den["t"] - 0.5) < 1e-12) == 240
+    assert den["t"].size == ess["t"].size - 1
+    assert np.min(np.abs(den["x"][np.abs(den["t"] - 0.5) < 1e-12])) > 1e-3
+
+
 def test_singularity_front(tmp_path):
     out = tmp_path / "run"
     rc = cli.main(["singularity", "--scenario", preset("steep_front.ini"),

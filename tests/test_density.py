@@ -43,6 +43,15 @@ def test_fold_contact_raises(burgers):
     gd = density.GeneralizedDensity(fan=fan, rho0=expr.as_expression("1"))
     with pytest.raises(density.DensityError):
         gd.regular(1.0 - 1e-13, np.array([0.0]))
+    # skip_folds gives NaN densities there (the whole fan is on the fold)
+    # and keeps the other fields; a time off the fold is unaffected
+    xs = np.array([-4e-15, 0.0, 4e-15])
+    f = gd.fields(1.0 - 1e-13, xs, skip_folds=True)
+    assert np.all(np.isnan(f["R"]))
+    assert np.all(np.isfinite(f["S"])) and np.all(np.isfinite(f["u"]))
+    xs = np.array([-0.25, 0.0, 0.25])
+    np.testing.assert_array_equal(gd.fields(0.5, xs, skip_folds=True)["R"],
+                                  gd.regular(0.5, xs))
 
 
 def test_stationary_shock_mass_rate(riemann_gd):

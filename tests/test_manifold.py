@@ -421,3 +421,27 @@ def test_vectorized_singularities_split_clusters(tanh_fan, gap):
     new = manifold.find_singularities(fan)
     assert len(new) == 3
     assert new == _old_find_singularities(fan)
+
+
+@pytest.mark.parametrize("toward", [1.0, 0.0, 0.1])
+def test_coincident_folds_are_ordered_left_to_right(toward):
+    # folds whose times differ in the last bit only keep the label order
+    left = manifold.SingularPoint(t=float(np.nextafter(0.1, toward)), x=-0.9,
+                                  x0=-1.0, rows=(0, 9))
+    right = manifold.SingularPoint(t=0.1, x=0.9, x0=1.0, rows=(20, 29))
+    later = manifold.SingularPoint(t=0.1 + 1e-6, x=-3.0, x0=-3.0,
+                                   rows=(40, 49))
+    for events in ([right, later, left], [later, left, right]):
+        assert manifold._time_order(events) == [left, right, later]
+
+
+def test_symmetric_fronts_get_stable_shock_ids(burgers):
+    fan = characteristics.integrate_fan(
+        burgers, "0.1*(log(sech((x+1)/0.1)) + log(sech((x-1)/0.1)))",
+        np.linspace(-3.0, 3.0, 601), T=0.4, h_t=5e-3, store_every=2,
+        S0_prime="0-tanh((x+1)/0.1)-tanh((x-1)/0.1)")
+    events = manifold.find_singularities(fan)
+    assert len(events) == 2 and events[0].x0 < 0.0 < events[1].x0
+    recs = manifold.track_shocks(fan)
+    assert [r.id for r in recs] == [0, 1]
+    assert recs[0].x_birth < 0.0 < recs[1].x_birth
