@@ -41,10 +41,8 @@ class Fan:
     J: np.ndarray
     dp: np.ndarray     # variational partner of J
     a_int: np.ndarray
-    escape_time: np.ndarray
     h_t: float
     a_mode: object = "auto"
-    working_box: tuple = None
     rhs: object = field(default=None, repr=False)
 
     @property
@@ -98,39 +96,40 @@ def _cubic_hermite(s, h, ya, yb, fa, fb):
 
 
 def _make_a_eval(m, a_mode):
-    """Damping a(x, p, u, t), broadcast to the shape of x: -d2P/dxdp along
-    the path for "auto", else an expression in (x, u)."""
+    """Damping a(x, p, u), broadcast to the shape of x: -d2P/dxdp along the
+    path for "auto", else an expression in (x, u)."""
     if a_mode == "auto":
-        def a_eval(x, p, u, t):
-            return -symbol.eval_d2P_dxdp(m, x, p, t) + np.zeros_like(x)
+        def a_eval(x, p, u):
+            return -symbol.eval_d2P_dxdp(m, x, p) + np.zeros_like(x)
         return a_eval
     a_mode = expr.as_expression(a_mode, ("x", "u"))
     if isinstance(a_mode, expr.Expression):
-        def a_eval(x, p, u, t):
+        def a_eval(x, p, u):
             return expr.evaluate_at(a_mode, x, u=u)
         return a_eval
     raise CharacteristicsError(f"bad a_mode {a_mode!r}")
 
 
 def hamiltonian_rhs(m, a_mode="auto"):
-    """RHS closure for the characteristic + variational + transport system."""
+    """RHS closure for the characteristic + variational + transport system;
+    the symbol is autonomous, so the closure ignores its time argument."""
     a_eval = _make_a_eval(m, a_mode)
 
     def rhs(t, y):
         x, p = y["x"], y["p"]
-        Pp = symbol.eval_dP_dp(m, x, p, t)
-        Px = symbol.eval_dP_dx(m, x, p, t)
-        Ppp = symbol.eval_hess(m, x, p, t)
-        Pxp = symbol.eval_d2P_dxdp(m, x, p, t)
-        Pxx = symbol.eval_d2P_dx2(m, x, p, t)
-        P = symbol.eval_P(m, x, p, t)
+        Pp = symbol.eval_dP_dp(m, x, p)
+        Px = symbol.eval_dP_dx(m, x, p)
+        Ppp = symbol.eval_hess(m, x, p)
+        Pxp = symbol.eval_d2P_dxdp(m, x, p)
+        Pxx = symbol.eval_d2P_dx2(m, x, p)
+        P = symbol.eval_P(m, x, p)
         return {
             "x": Pp,
             "p": -Px,
             "S": p * Pp - P,
             "J": Pxp * y["J"] + Ppp * y["dp"],
             "dp": -Pxx * y["J"] - Pxp * y["dp"],
-            "a_int": a_eval(x, p, Pp, t),
+            "a_int": a_eval(x, p, Pp),
         }
 
     return rhs
@@ -147,9 +146,9 @@ def rk4_step(rhs, t, y, h):
     return {f: y[f] + (h / 6.0) * (k1[f] + 2 * k2[f] + 2 * k3[f] + k4[f]) for f in y}
 
 
-def monitored_step(rhs, t, y, h, tol=STEP_TOL):
+def monitored_step(rhs, t, y, h):
     """One RK4 step advanced as two half steps, rejected if the step-doubling
-    estimate against the single full step exceeds ``tol``."""
+    estimate against the single full step exceeds ``STEP_TOL``."""
     full = rk4_step(rhs, t, y, h)
     half = rk4_step(rhs, t, y, 0.5 * h)
     two = rk4_step(rhs, t + 0.5 * h, half, 0.5 * h)
@@ -157,15 +156,14 @@ def monitored_step(rhs, t, y, h, tol=STEP_TOL):
     for f in y:
         scale = 1.0 + np.abs(two[f])
         err = max(err, float(np.max(np.abs(full[f] - two[f]) / scale)))
-    if err > tol:
-        raise StepSizeError(
-            f"local error {err:.3e} exceeds {tol:.1e} at t={t:.6g}; reduce h_t")
+    if err > STEP_TOL:
+        raise StepSizeError(f"local error {err:.3e} exceeds {STEP_TOL:.1e} "
+                            f"at t={t:.6g}; reduce h_t")
     return two
 
 
 def integrate_fan(m, S0, x0, T, h_t, a_mode="auto", store_every=1,
-                  working_box=None, S0_prime=None, S0_second=None,
-                  t0=0.0, initial=None, step_tol=STEP_TOL):
+                  S0_prime=None, S0_second=None, t0=0.0, initial=None):
     """Integrate a fan of characteristics from t0 to t0+T.
 
     Args:
@@ -175,10 +173,9 @@ def integrate_fan(m, S0, x0, T, h_t, a_mode="auto", store_every=1,
         T, h_t: horizon and integration step; every ``store_every``-th state
             is stored, and T/h_t must be a whole multiple of store_every.
         a_mode: "auto" for -d2P/dxdp along paths, or an expression in (x, u).
-        working_box: optional (lo, hi); rows leaving it freeze with their
-            escape time recorded instead of aborting the fan.
         S0_prime, S0_second: optional overrides for S0' and S0''; by
             default they are the exact derivatives of S0 and of S0_prime.
+            S0 and its overrides are expressions in x.
         initial: optional dict of starting fields (x, p, S, J, dp, a_int)
             for fans launched from a prepared curve rather than S0.
     """
@@ -194,17 +191,17 @@ def integrate_fan(m, S0, x0, T, h_t, a_mode="auto", store_every=1,
         raise CharacteristicsError("store_every must divide the step count")
 
     if initial is None:
-        S0 = expr.as_expression(S0)
+        S0 = expr.as_expression(S0, ("x",))
         S0_prime = (expr.diff(S0) if S0_prime is None
-                    else expr.as_expression(S0_prime))
+                    else expr.as_expression(S0_prime, ("x",)))
         S0_second = (expr.diff(S0_prime) if S0_second is None
-                     else expr.as_expression(S0_second))
+                     else expr.as_expression(S0_second, ("x",)))
         y = {
             "x": x0.copy(),
-            "p": expr.evaluate_at(S0_prime, x0, t=0.0),
-            "S": expr.evaluate_at(S0, x0, t=0.0),
+            "p": expr.evaluate_at(S0_prime, x0),
+            "S": expr.evaluate_at(S0, x0),
             "J": np.ones_like(x0),
-            "dp": expr.evaluate_at(S0_second, x0, t=0.0),
+            "dp": expr.evaluate_at(S0_second, x0),
             "a_int": np.zeros_like(x0),
         }
     else:
@@ -217,30 +214,14 @@ def integrate_fan(m, S0, x0, T, h_t, a_mode="auto", store_every=1,
         store[f][0] = y[f]
     times = t0 + h_t * store_every * np.arange(n_stored)
 
-    escape_time = np.full(x0.size, np.inf)
-    active = np.ones(x0.size, dtype=bool)
-
     for k in range(n_steps):
-        t = t0 + k * h_t
-        y_new = monitored_step(rhs, t, y, h_t, tol=step_tol)
-        if working_box is not None:
-            lo, hi = working_box
-            out = active & ((y_new["x"] < lo) | (y_new["x"] > hi))
-            if np.any(out):
-                escape_time[out] = t + h_t
-                active = active & ~out
-        if working_box is not None and not np.all(active):
-            for f in _FIELDS:
-                y[f] = np.where(active, y_new[f], y[f])
-        else:
-            y = y_new
+        y = monitored_step(rhs, t0 + k * h_t, y, h_t)
         if (k + 1) % store_every == 0:
             i = (k + 1) // store_every
             for f in _FIELDS:
                 store[f][i] = y[f]
 
-    return Fan(symbol=m, x0=x0, times=times, escape_time=escape_time,
-               h_t=h_t, a_mode=a_mode, working_box=working_box, rhs=rhs,
+    return Fan(symbol=m, x0=x0, times=times, h_t=h_t, a_mode=a_mode, rhs=rhs,
                **store)
 
 

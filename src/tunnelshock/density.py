@@ -25,21 +25,18 @@ class DensityError(ValueError):
 
 def transport_density(fan, rho0="1"):
     """Regular density over the stored fan grid (rows may be fold-crossed)."""
-    vals = expr.evaluate_at(expr.as_expression(rho0), fan.x0, t=0.0)
+    vals = expr.evaluate_at(expr.as_expression(rho0, ("x",)), fan.x0)
     with np.errstate(divide="ignore"):
         return vals[None, :] * np.exp(-fan.a_int) / np.abs(fan.J)
 
 
-def _friction_at_shock(fan, x_s, p_l, p_r, c, t, a_mode=None):
+def _friction_at_shock(fan, x_s, p_l, p_r, c):
     """Damping felt by a point mass on the path, matching the bulk transport:
-    the bulk damping at the mean momentum, with the path speed c as u.
-
-    a_mode overrides the fan's own damping mode.
+    the fan's bulk damping at the mean momentum, with the path speed c as u.
     """
-    a_eval = characteristics._make_a_eval(
-        fan.symbol, fan.a_mode if a_mode is None else a_mode)
+    a_eval = characteristics._make_a_eval(fan.symbol, fan.a_mode)
     p_bar = 0.5 * (np.asarray(p_l) + np.asarray(p_r))
-    return a_eval(np.asarray(x_s), p_bar, np.asarray(c), t)
+    return a_eval(np.asarray(x_s), p_bar, np.asarray(c))
 
 
 def _aint_on_label(fan, t, x0_star):
@@ -79,7 +76,7 @@ class GeneralizedDensity:
                 f"evaluation touches a fold(|J| < {J_CONTACT_TOL:g}) "
                 f"at t={float(t):g}")
         with np.errstate(divide="ignore", invalid="ignore"):
-            R = (expr.evaluate_at(self.rho0, ess.x0, t=0.0)
+            R = (expr.evaluate_at(self.rho0, ess.x0)
                  * np.exp(-ess.a_int) / np.abs(ess.J))
         R[on_fold] = np.nan
         return {"R": R, "S": ess.S, "p": ess.p, "u": ess.u, "x0": ess.x0,
@@ -130,7 +127,7 @@ def attach_amplitudes(gd):
     right after birth exactly instead of sampling it on the path grid.
     """
     by_id = {rec.id: rec for rec in gd.shocks}
-    rho0 = functools.partial(expr.evaluate_at, gd.rho0, t=0.0)
+    rho0 = functools.partial(expr.evaluate_at, gd.rho0)
     for rec in sorted(gd.shocks, key=lambda r: r.id):
         if rec.times.size == 0:
             continue
@@ -138,8 +135,7 @@ def attach_amplitudes(gd):
         rho_r = rho0(rec.x0_r) * np.exp(-rec.aint_r)
         rec.R_l = rho_l / np.abs(rec.J_l)
         rec.R_r = rho_r / np.abs(rec.J_r)
-        f = _friction_at_shock(gd.fan, rec.x_s, rec.p_l, rec.p_r, rec.c,
-                               rec.times)
+        f = _friction_at_shock(gd.fan, rec.x_s, rec.p_l, rec.p_r, rec.c)
         sl = np.sign(rec.J_l)
         sr = np.sign(rec.J_r)
         if rec.parents:
@@ -191,14 +187,14 @@ def attach_amplitudes(gd):
 
 def build_density(fan, rho0="1", shocks=None):
     """Track shocks (unless given) and assemble the generalized density."""
-    gd = GeneralizedDensity(fan=fan, rho0=expr.as_expression(rho0))
+    gd = GeneralizedDensity(fan=fan, rho0=expr.as_expression(rho0, ("x",)))
     gd.shocks = manifold.track_shocks(fan) if shocks is None else list(shocks)
     return attach_amplitudes(gd)
 
 
 def initial_mass(gd):
     lo, hi = float(gd.fan.x0[0]), float(gd.fan.x0[-1])
-    val, err = quad(lambda s: float(expr.evaluate(gd.rho0, x=s, t=0.0)),
+    val, err = quad(lambda s: float(expr.evaluate(gd.rho0, x=s)),
                     lo, hi, epsabs=1e-13, epsrel=1e-12, limit=200)
     return val
 

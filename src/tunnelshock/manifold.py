@@ -138,18 +138,9 @@ def _decompose(curve):
 
 
 def _curve_from_state(fan, t, state):
-    keep = fan.escape_time > t
-    if not np.all(keep):
-        (idx,) = np.nonzero(keep)
-        if idx.size == 0:
-            raise ManifoldError(f"all rows escaped before t={t:g}")
-        sel = slice(idx[0], idx[-1] + 1)
-    else:
-        sel = slice(None)
     curve = LagrangianCurve(
-        t=float(t), symbol=fan.symbol, x0=fan.x0[sel],
-        x=state["x"][sel], p=state["p"][sel], S=state["S"][sel],
-        J=state["J"][sel], a_int=state["a_int"][sel])
+        t=float(t), symbol=fan.symbol, x0=fan.x0, x=state["x"], p=state["p"],
+        S=state["S"], J=state["J"], a_int=state["a_int"])
     return _decompose(curve)
 
 
@@ -213,7 +204,7 @@ def essential(curve, x_grid):
     if np.any(missing):
         raise UncoveredPointError(x[missing])
     S, p, J, a_int, x0 = best
-    u = symbol.eval_dP_dp(curve.symbol, x, p, curve.t)
+    u = symbol.eval_dP_dp(curve.symbol, x, p)
     return EssentialSolution(t=curve.t, x=x, S=S, p=p,
                              u=np.asarray(u, dtype=float) + np.zeros_like(x),
                              branch_id=best_b, J=J, a_int=a_int, x0=x0)
@@ -464,8 +455,8 @@ class _Tracker:
             br = _essential_branch_near(curve, x_s, "r", w0)
             sl = _one_sided(bl, np.clip(x_s, bl.x_lo, bl.x_hi))
             sr = _one_sided(br, np.clip(x_s, br.x_lo, br.x_hi))
-        u_l = float(symbol.eval_dP_dp(m, x_s, sl["p"], curve.t))
-        u_r = float(symbol.eval_dP_dp(m, x_s, sr["p"], curve.t))
+        u_l = float(symbol.eval_dP_dp(m, x_s, sl["p"]))
+        u_r = float(symbol.eval_dP_dp(m, x_s, sr["p"]))
         self.samples.append(dict(t=curve.t, x_s=x_s, p_l=sl["p"], p_r=sr["p"],
                                  u_l=u_l, u_r=u_r, S_s=0.5 * (sl["S"] + sr["S"]),
                                  x0_l=sl["x0"], x0_r=sr["x0"],
@@ -513,9 +504,8 @@ def check_speed_consistency(rec, m, tol=1e-3, p_gap=1e-4):
         dp = rec.p_l[k] - rec.p_r[k]
         if abs(dp) < p_gap:
             continue
-        t = float(rec.times[k])
-        Pl = float(symbol.eval_P(m, rec.x_s[k], rec.p_l[k], t))
-        Pr = float(symbol.eval_P(m, rec.x_s[k], rec.p_r[k], t))
+        Pl = float(symbol.eval_P(m, rec.x_s[k], rec.p_l[k]))
+        Pr = float(symbol.eval_P(m, rec.x_s[k], rec.p_r[k]))
         rh = (Pl - Pr) / dp
         dev = abs(rec.c[k] - rh) / (1.0 + abs(rec.c[k]))
         worst = max(worst, dev)
@@ -525,7 +515,7 @@ def check_speed_consistency(rec, m, tol=1e-3, p_gap=1e-4):
     return worst
 
 
-def track_shocks(fan, t_stop=None, check=True):
+def track_shocks(fan):
     """Track every fold-seeded shock on the stored grid, merging crossers.
 
     Returns ShockRecords ordered by id; merged parents carry merged_into.
@@ -533,17 +523,13 @@ def track_shocks(fan, t_stop=None, check=True):
     events = find_singularities(fan)
     if not events:
         return []
-    t_end = float(fan.times[-1]) if t_stop is None else float(t_stop)
     trackers = []
-    done = []
     next_id = 0
     for ev in events:
         trackers.append(_Tracker(next_id, ev.t, ev.x, (), x0_birth=ev.x0))
         next_id += 1
-    for i, t in enumerate(fan.times):
+    for t in fan.times:
         t = float(t)
-        if t > t_end + 1e-12:
-            break
         live = [tr for tr in trackers if tr.t_birth <= t + 1e-12 and tr.merged_into < 0]
         if not live:
             continue
@@ -590,9 +576,8 @@ def track_shocks(fan, t_stop=None, check=True):
                 if merged_any:
                     break
     records = [tr.to_record() for tr in sorted(trackers, key=lambda tr: tr.id)]
-    if check:
-        for rec in records:
-            if rec.times.size:
-                check_admissibility(rec)
-                check_speed_consistency(rec, fan.symbol)
+    for rec in records:
+        if rec.times.size:
+            check_admissibility(rec)
+            check_speed_consistency(rec, fan.symbol)
     return records

@@ -60,8 +60,6 @@ def hopf_lax(m, S0, x, t, y_box=(-30.0, 30.0), n=2001):
     """
     if not m.spatially_homogeneous:
         raise OracleError("variational minimizer needs an x-independent symbol")
-    if m.time_dependent:
-        raise OracleError("variational minimizer needs an autonomous symbol")
     if not t > 0.0:
         raise OracleError("t must be positive")
     S0 = expr.as_expression(S0, ("x",))
@@ -117,9 +115,9 @@ class FiniteVolumeSolution:
         return self.v[k]
 
 
-def _sonic_point(m, t=0.0):
+def _sonic_point(m):
     """Zero of the nondecreasing dP/dp, clipped to the momentum box."""
-    return symbol.legendre_clamped(m, 0.0, 0.0, t)[0]
+    return symbol.legendre_clamped(m, 0.0, 0.0)[0]
 
 
 def godunov(m, v0, x_box, n_cells, T, store_times=None, cfl=0.8, dt=None):
@@ -144,11 +142,13 @@ def godunov(m, v0, x_box, n_cells, T, store_times=None, cfl=0.8, dt=None):
     if any(not 0.0 < s <= T + 1e-12 for s in marks):
         raise OracleError("store_times must lie in (0, T]")
 
+    # the flux does not depend on time, so neither does its sonic point
+    s_star = _sonic_point(m)
     out_v, out_t, out_sx = [], [], []
     t = 0.0
     mark_i = 0
     while mark_i < len(marks):
-        speeds = np.abs(symbol.eval_dP_dp(m, 0.0, v, t)) + np.zeros_like(v)
+        speeds = np.abs(symbol.eval_dP_dp(m, 0.0, v)) + np.zeros_like(v)
         smax = float(np.max(speeds))
         limit = dx / max(smax, 1e-300)
         if dt is not None:
@@ -160,13 +160,12 @@ def godunov(m, v0, x_box, n_cells, T, store_times=None, cfl=0.8, dt=None):
             step = cfl * limit
         step = min(step, marks[mark_i] - t)
 
-        s_star = _sonic_point(m, t)
         vl = np.concatenate(([v[0]], v))
         vr = np.concatenate((v, [v[-1]]))
         with np.errstate(all="ignore"):
-            f_min = symbol.eval_P(m, 0.0, np.clip(s_star, vl, vr), t)
-            f_max = np.maximum(symbol.eval_P(m, 0.0, vl, t),
-                               symbol.eval_P(m, 0.0, vr, t))
+            f_min = symbol.eval_P(m, 0.0, np.clip(s_star, vl, vr))
+            f_max = np.maximum(symbol.eval_P(m, 0.0, vl),
+                               symbol.eval_P(m, 0.0, vr))
         flux = np.where(vl <= vr, f_min, f_max)
         v = v - (step / dx) * (flux[1:] - flux[:-1])
         t += step
@@ -254,32 +253,23 @@ def kf_lattice(m, field, T, safety=0.4, dt=None, support_tol=1e-10):
     shifts = _lattice_shifts(m, h, dx)
     reach = max([1] + [abs(s) for s in shifts])
 
-    def coefficients(t):
-        A = expr.evaluate_at(m.A, xs, t=t)
-        V = expr.evaluate_at(m.V, xs, t=t)
-        lams = [expr.evaluate_at(j.lam, xs, t=t) for j in m.jumps]
-        return A, V, lams
-
-    def step_bounds(A, V, lams):
-        max_A = float(np.max(A))
-        lam_sum = float(np.max(sum(lams))) if lams else 0.0
-        speed = float(np.max(np.abs(symbol.eval_dP_dp(m, xs, 0.0, t0)
-                                    + np.zeros_like(xs))))
-        terms = [
-            dx * dx / (2.0 * max_A * h) if max_A > 0 else np.inf,
-            dx / speed if speed > 0 else np.inf,
-            1.0 / lam_sum if lam_sum > 0 else np.inf,
-        ]
-        bound = 0.4 * min(terms)
-        cap = min(
-            0.9 * h / lam_sum if lam_sum > 0 else np.inf,
-            0.5 * h / abs(float(np.min(V))) if float(np.min(V)) < 0 else np.inf,
-        )
-        return bound, cap
-
-    t0 = field.t
-    A, V, lams = coefficients(t0)
-    bound, cap = step_bounds(A, V, lams)
+    A = expr.evaluate_at(m.A, xs)
+    V = expr.evaluate_at(m.V, xs)
+    lams = [expr.evaluate_at(j.lam, xs) for j in m.jumps]
+    max_A = float(np.max(A))
+    lam_sum = float(np.max(sum(lams))) if lams else 0.0
+    speed = float(np.max(np.abs(symbol.eval_dP_dp(m, xs, 0.0)
+                                + np.zeros_like(xs))))
+    terms = [
+        dx * dx / (2.0 * max_A * h) if max_A > 0 else np.inf,
+        dx / speed if speed > 0 else np.inf,
+        1.0 / lam_sum if lam_sum > 0 else np.inf,
+    ]
+    bound = 0.4 * min(terms)
+    cap = min(
+        0.9 * h / lam_sum if lam_sum > 0 else np.inf,
+        0.5 * h / abs(float(np.min(V))) if float(np.min(V)) < 0 else np.inf,
+    )
     if dt is not None:
         if dt > bound * (1.0 + 1e-12):
             raise StabilityError(
@@ -318,16 +308,11 @@ def kf_lattice(m, field, T, safety=0.4, dt=None, support_tol=1e-10):
     check_every = max(1, n_steps // 32)
     dt_h = step0 / h
 
-    def stencil(A, V, lams):
-        """Weights of one explicit step: centre, neighbours, jump shifts."""
-        c_lap = A * h * step0 / (dx * dx)
-        diag = 1.0 + dt_h * (V - sum(lams) if lams else V) - 2.0 * c_lap
-        return diag, c_lap, [dt_h * lv for lv in lams]
-
-    diag, c_lap, c_jump = stencil(A, V, lams)
+    # weights of one explicit step: centre, neighbours, jump shifts
+    c_lap = A * h * step0 / (dx * dx)
+    diag = 1.0 + dt_h * (V - sum(lams) if lams else V) - 2.0 * c_lap
+    c_jump = [dt_h * lv for lv in lams]
     for k in range(n_steps):
-        if m.time_dependent:
-            diag, c_lap, c_jump = stencil(*coefficients(t0 + k * step0))
         cur = u[core]
         new = diag * cur
         new += c_lap * (u[reach + 1:reach + n + 1] + u[reach - 1:reach + n - 1])
@@ -337,7 +322,7 @@ def kf_lattice(m, field, T, safety=0.4, dt=None, support_tol=1e-10):
         if (k + 1) % check_every == 0 or k == n_steps - 1:
             contact_check(u[core])
 
-    return LatticeField(x=xs, values=u[core].copy(), h=h, t=t0 + T,
+    return LatticeField(x=xs, values=u[core].copy(), h=h, t=field.t + T,
                         dt=step0, reach=reach, u0=field.u0)
 
 

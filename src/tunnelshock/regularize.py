@@ -79,7 +79,7 @@ class RegularizationParams:
     epsilon: float
     beta: float
     A_shift: float = None       # None -> auto-tuned when the flow is built
-    B_profile: object = "tanh"
+    B_profile: str = "tanh"
 
     def __post_init__(self):
         if not (self.epsilon > 0.0):
@@ -89,31 +89,15 @@ class RegularizationParams:
         if self.epsilon > self.beta ** 2 * (1.0 + 1e-12):
             raise RegularizeError(
                 "window width must satisfy epsilon <= beta**2")
-        _validate_blend(self.blend)
+        if not isinstance(self.B_profile, str) \
+                or self.B_profile not in PROFILES:
+            raise RegularizeError(
+                f"unknown blend profile {self.B_profile!r}; "
+                f"choose from {sorted(PROFILES)}")
 
     @property
     def blend(self):
-        if isinstance(self.B_profile, str):
-            try:
-                return PROFILES[self.B_profile]
-            except KeyError:
-                raise RegularizeError(
-                    f"unknown blend profile {self.B_profile!r}; "
-                    f"choose from {sorted(PROFILES)}")
-        if callable(self.B_profile):
-            return self.B_profile
-        raise RegularizeError("B_profile must be a name or a callable")
-
-
-def _validate_blend(B):
-    z = np.linspace(-60.0, 60.0, 481)
-    vals = np.asarray(B(z), dtype=float)
-    if vals.shape != z.shape or not np.all(np.isfinite(vals)):
-        raise RegularizeError("blend profile must map reals to finite reals")
-    if vals[0] > 1e-9 or vals[-1] < 1.0 - 1e-9:
-        raise RegularizeError("blend profile must ramp from 0 to 1")
-    if np.any(np.diff(vals) < -1e-12):
-        raise RegularizeError("blend profile must be monotone")
+        return PROFILES[self.B_profile]
 
 
 # ---------------------------------------------------------------------------
@@ -173,35 +157,35 @@ class Insertion:
     p_l0: float
     p_r0: float
 
-    def K(self, t=0.0):
-        v_l = float(eval_dP_dp(self.symbol, self.x0_star, self.p_l0, t))
-        v_r = float(eval_dP_dp(self.symbol, self.x0_star, self.p_r0, t))
+    def K(self):
+        v_l = float(eval_dP_dp(self.symbol, self.x0_star, self.p_l0))
+        v_r = float(eval_dP_dp(self.symbol, self.x0_star, self.p_r0))
         return (v_l - v_r) / (2.0 * self.beta)
 
-    def b(self, t=0.0):
-        v_l = float(eval_dP_dp(self.symbol, self.x0_star, self.p_l0, t))
-        return v_l + self.K(t) * (self.x0_star - self.beta)
+    def b(self):
+        v_l = float(eval_dP_dp(self.symbol, self.x0_star, self.p_l0))
+        return v_l + self.K() * (self.x0_star - self.beta)
 
-    def speed(self, x0, t=0.0):
+    def speed(self, x0):
         x0 = np.asarray(x0, dtype=float)
-        return -self.K(t) * x0 + self.b(t)
+        return -self.K() * x0 + self.b()
 
-    def collapse_time(self, t=0.0):
-        k = self.K(t)
+    def collapse_time(self):
+        k = self.K()
         return 1.0 / k if k > 0.0 else math.inf
 
-    def u1(self, x0, t=0.0):
+    def u1(self, x0):
         """Gradient data generating the straight-line speeds (root solve)."""
         x0 = np.asarray(x0, dtype=float)
-        target = np.atleast_1d(self.speed(x0, t))
-        v_lo, v_hi = (float(eval_dP_dp(self.symbol, self.x0_star, p, t))
+        target = np.atleast_1d(self.speed(x0))
+        v_lo, v_hi = (float(eval_dP_dp(self.symbol, self.x0_star, p))
                       for p in P_BOX)
         for v in target:
             if not (v_lo < v < v_hi):
                 raise RegularizeError(
                     f"target speed {v:.6g} is outside the symbol's range "
                     f"({v_lo:.6g}, {v_hi:.6g}) on the momentum box")
-        out, _ = symbol.legendre_batch(self.symbol, self.x0_star, target, t)
+        out, _ = symbol.legendre_batch(self.symbol, self.x0_star, target)
         return out[0] if x0.ndim == 0 else out
 
 
@@ -221,15 +205,15 @@ def build_insertion(m, u0, x0_star, beta, T=0.0):
     return ins
 
 
-def plateau_speed(m, x_l, p_l, x_r, p_r, t=0.0):
+def plateau_speed(m, x_l, p_l, x_r, p_r):
     """Jump speed from the symbol mismatch across the plateau endpoints."""
     dp = float(p_r) - float(p_l)
     if abs(dp) <= 1e-12:
         warnings.warn("degenerate jump: momenta coincide; "
                       "falling back to the one-sided group speed",
                       RuntimeWarning, stacklevel=2)
-        return float(eval_dP_dp(m, x_l, p_l, t))
-    num = float(eval_P(m, x_r, p_r, t)) - float(eval_P(m, x_l, p_l, t))
+        return float(eval_dP_dp(m, x_l, p_l))
+    num = float(eval_P(m, x_r, p_r)) - float(eval_P(m, x_l, p_l))
     return num / dp
 
 
@@ -237,24 +221,17 @@ def plateau_speed(m, x_l, p_l, x_r, p_r, t=0.0):
 # blended flow
 
 
-def _window_integral(params, t_star, T):
-    """W(t) = integral_0^t (1 - B((s - t*)/eps)) ds as a vectorized callable."""
+def _window_integral(params, t_star):
+    """W(t) = integral_0^t (1 - B((s - t*)/eps)) ds as a vectorized callable,
+    from the closed-form ramp integral of the named blend profile."""
     eps = params.epsilon
-    if isinstance(params.B_profile, str) and params.B_profile in _RAMP_INTEGRALS:
-        G = _RAMP_INTEGRALS[params.B_profile]
-        g0 = G((0.0 - t_star) / eps)
+    G = _RAMP_INTEGRALS[params.B_profile]
+    g0 = G((0.0 - t_star) / eps)
 
-        def W(t):
-            return eps * (G((np.asarray(t, dtype=float) - t_star) / eps) - g0)
+    def W(t):
+        return eps * (G((np.asarray(t, dtype=float) - t_star) / eps) - g0)
 
-        return W
-    B = params.blend
-    h = min(eps / 256.0, T / 1024.0)
-    n = min(int(np.ceil(T / h)), 2_000_000)
-    tf = np.linspace(0.0, T, n + 1)
-    g = 1.0 - B((tf - t_star) / eps)
-    Wf = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(tf))])
-    return lambda t: np.interp(t, tf, Wf)
+    return W
 
 
 def _first_crossing(labs, vs, edge_fn, sign, T):
@@ -349,8 +326,6 @@ def blended_fan(m, u0, params, T, x0_star=None, t_star=None,
     initial collar shift is auto-tuned (smallest value in [0, 100] keeping
     the flow map strictly increasing) unless params.A_shift pins it.
     """
-    if m.time_dependent:
-        raise RegularizeError("the blended flow needs a time-frozen symbol")
     if not m.spatially_homogeneous:
         raise RegularizeError(
             "the blended flow needs a spatially homogeneous symbol")
@@ -378,7 +353,7 @@ def blended_fan(m, u0, params, T, x0_star=None, t_star=None,
     v = eval_dP_dp(m, lab, p0) + np.zeros_like(lab)
     vprime = np.gradient(v, lab)
     c = plateau_speed(m, edge_l, ins.p_l0, edge_r, ins.p_r0)
-    W = _window_integral(params, t_star, T)
+    W = _window_integral(params, t_star)
     K = ins.K()
     s_l = float(ins.speed(edge_l))
     s_r = float(ins.speed(edge_r))
@@ -532,7 +507,7 @@ def limit_study(m, S0, rho0, eps_schedule, T, S0_prime=None, betas=None,
     rho_fn = _as_x_fn(rho0, "rho0")
     if S0_prime is None:
         u0_fn = functools.partial(expr.evaluate_at,
-                                  expr.diff(expr.as_expression(S0)), t=0.0)
+                                  expr.diff(expr.as_expression(S0, ("x",))))
     else:
         u0_fn = _as_x_fn(S0_prime, "S0_prime")
 
@@ -632,10 +607,10 @@ def flow_samples(m, x, p, S, t_start, duration, h_t=2.5e-3):
 
     def rhs(t, y):
         xx, pp = y["x"], y["p"]
-        dx = eval_dP_dp(m, xx, pp, t) + np.zeros_like(xx)
+        dx = eval_dP_dp(m, xx, pp) + np.zeros_like(xx)
         return {"x": dx,
-                "p": -(eval_dP_dx(m, xx, pp, t) + np.zeros_like(xx)),
-                "S": pp * dx - (eval_P(m, xx, pp, t) + np.zeros_like(xx))}
+                "p": -(eval_dP_dx(m, xx, pp) + np.zeros_like(xx)),
+                "S": pp * dx - (eval_P(m, xx, pp) + np.zeros_like(xx))}
 
     t = float(t_start)
     for _ in range(steps):
@@ -718,7 +693,7 @@ def surgery(m, fan, t_star, beta, t1, n_segment=65, h_t=2.5e-3,
         a1=a1, a2=a2, x_cut=x_cut, n_left=n_left, n_segment=int(n_segment))
 
 
-def restart_fan(m, curve, T, h_t, store_every=1, a_mode="auto", **kw):
+def restart_fan(m, curve, T, h_t, store_every=1):
     """Launch a fresh fan from a pulled-back curve (labels = positions)."""
     initial = {
         "x": curve.x.copy(),
@@ -729,5 +704,5 @@ def restart_fan(m, curve, T, h_t, store_every=1, a_mode="auto", **kw):
         "a_int": np.zeros_like(curve.x),
     }
     return characteristics.integrate_fan(
-        m, None, curve.x, T, h_t, a_mode=a_mode, store_every=store_every,
-        t0=curve.t0, initial=initial, **kw)
+        m, None, curve.x, T, h_t, store_every=store_every, t0=curve.t0,
+        initial=initial)

@@ -11,7 +11,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from . import expr, symbol
+from . import expr, regularize, symbol
 
 # every key a block may hold; unknown sections or keys are typos, not options
 _SECTIONS = {
@@ -217,15 +217,26 @@ def load(path):
         if len(betas) != len(eps_schedule):
             _fail("regularization", "beta",
                   "must match the epsilon schedule length")
+        if any(b <= 0 for b in betas):
+            _fail("regularization", "beta", "half-widths must be positive")
+        # with the tolerance of regularize.RegularizationParams
+        if any(e > b ** 2 * (1.0 + 1e-12)
+               for e, b in zip(eps_schedule, betas)):
+            _fail("regularization", "beta",
+                  "window widths must satisfy epsilon <= beta^2")
     B_profile = get("regularization", "B_profile", "tanh")
+    if B_profile not in regularize.PROFILES:
+        _fail("regularization", "B_profile",
+              f"unknown blend profile {B_profile!r}; "
+              f"choose from {sorted(regularize.PROFILES)}")
     A_shift = get("regularization", "A_shift")
     if A_shift is not None:
         A_shift = _float("regularization", "A_shift", A_shift)
 
     # -- verify / output --------------------------------------------------
     bumps = _int("verify", "bumps", get("verify", "bumps", "12"))
-    if bumps < 0:
-        _fail("verify", "bumps", "count must be nonnegative")
+    if bumps < 1:
+        _fail("verify", "bumps", "count must be >= 1")
     seed = _int("verify", "seed", get("verify", "seed", "0"))
     if not 0 <= seed < 2 ** 64:
         _fail("verify", "seed", "seed must fit an unsigned 64-bit value")

@@ -122,19 +122,16 @@ def _segment_grid(edges, panels, nudge):
             np.concatenate(queries))
 
 
-def identity_residual(gd, zeta, level, u_field=None, a_mode=None,
-                      e_scale=1.0, e_scale_ids=None):
+def identity_residual(gd, zeta, level, e_scale=1.0, e_scale_ids=None):
     """Absolute value of the weak-form pairing for one test function.
 
     The single-level case of `identity_residuals`, which documents the
     arguments.
     """
-    return identity_residuals(gd, zeta, (level,), u_field, a_mode, e_scale,
-                              e_scale_ids)[0]
+    return identity_residuals(gd, zeta, (level,), e_scale, e_scale_ids)[0]
 
 
-def identity_residuals(gd, zeta, levels, u_field=None, a_mode=None,
-                       e_scale=1.0, e_scale_ids=None):
+def identity_residuals(gd, zeta, levels, e_scale=1.0, e_scale_ids=None):
     """Absolute weak-form pairings for one test function, one per level.
 
     The bulk term pairs the regular density R against
@@ -144,10 +141,9 @@ def identity_residuals(gd, zeta, levels, u_field=None, a_mode=None,
     operator along the path.  Both use composite Simpson at 2^level panels
     per axis.  The levels share one pass over their time nodes: a node common
     to several levels takes one field query, split afterwards, and each
-    level still sums its own terms in time order.  u_field and a_mode
-    default to the candidate's own velocity field and damping; e_scale
-    (optionally restricted to the ids in e_scale_ids) perturbs amplitudes to
-    measure sensitivity.
+    level still sums its own terms in time order.  The velocity field and
+    damping are the candidate's own; e_scale (optionally restricted to the
+    ids in e_scale_ids) perturbs amplitudes to measure sensitivity.
     """
     fan = gd.fan
     t_lo, t_hi = zeta.t_c - zeta.r_t, zeta.t_c + zeta.r_t
@@ -156,8 +152,7 @@ def identity_residuals(gd, zeta, levels, u_field=None, a_mode=None,
         raise VerifyError(
             f"bump support [{t_lo:g}, {t_hi:g}] clips the computed time "
             f"range [0, {float(fan.times[-1]):g}]")
-    mode = fan.a_mode if a_mode is None else a_mode
-    a_eval = characteristics._make_a_eval(fan.symbol, mode)
+    a_eval = characteristics._make_a_eval(fan.symbol, fan.a_mode)
     live = [rec for rec in gd.shocks
             if rec.times is not None and rec.times.size]
     paths = [_extended_path(gd, rec) for rec in live]
@@ -196,9 +191,8 @@ def identity_residuals(gd, zeta, levels, u_field=None, a_mode=None,
         for j, wt, x_all, w_all, _ in grids:
             part = slice(stop, stop + x_all.size)
             stop = part.stop
-            u = f["u"][part] if u_field is None \
-                else np.asarray(u_field(t, x_all), dtype=float)
-            a = a_eval(x_all, f["p"][part], u, t)
+            u = f["u"][part]
+            a = a_eval(x_all, f["p"][part], u)
             integrand = f["R"][part] * (zeta.d_t(x_all, t)
                                         + u * zeta.d_x(x_all, t)
                                         - a * zeta.value(x_all, t))
@@ -219,7 +213,7 @@ def identity_residuals(gd, zeta, levels, u_field=None, a_mode=None,
                 e = e * e_scale
             p_l = np.interp(tt, path["t"], path["p_l"])
             p_r = np.interp(tt, path["t"], path["p_r"])
-            fr = density._friction_at_shock(fan, x_s, p_l, p_r, c, tt, mode)
+            fr = density._friction_at_shock(fan, x_s, p_l, p_r, c)
             integrand = e * (zeta.d_t(x_s, tt) + c * zeta.d_x(x_s, tt)
                              - fr * zeta.value(x_s, tt))
             totals[j] += float(np.dot(ww, integrand))
@@ -391,8 +385,7 @@ def hj_residual(slices, m, shocks=(), collar=3):
     S_t = (S[2:, 1:-1] - S[:-2, 1:-1]) / (2.0 * dt)
     S_x = (S[1:-1, 2:] - S[1:-1, :-2]) / (2.0 * h)
     xx = np.broadcast_to(x[None, 1:-1], S_x.shape)
-    tt = np.broadcast_to(ts[1:-1, None], S_x.shape)
-    defect = np.abs(S_t + symbol.eval_P(m, xx, S_x, tt))
+    defect = np.abs(S_t + symbol.eval_P(m, xx, S_x))
     keep = np.ones(defect.shape, dtype=bool)
     for rec in shocks:
         if rec.times is None or rec.times.size == 0:

@@ -96,18 +96,6 @@ def test_step_doubling_rejects_coarse_step():
         ch.integrate_fan(stiff, "-x^2/2", np.linspace(-1, 1, 5), T=1.0, h_t=0.25)
 
 
-def test_working_box_escape_freezes_rows():
-    fan = ch.integrate_fan(BURGERS, "x^2/2", np.linspace(-3, 3, 7), T=1.0,
-                           h_t=0.01, working_box=(-4.0, 4.0))
-    # outermost rarefaction rows leave |x|<4 before t=1 (x = x0(1+t))
-    assert np.isfinite(fan.escape_time[0]) and np.isfinite(fan.escape_time[-1])
-    assert not np.isfinite(fan.escape_time[3])
-    i_esc = np.searchsorted(fan.times, fan.escape_time[-1])
-    # frozen afterwards
-    assert fan.x[-1, -1] == fan.x[i_esc, -1]
-    assert abs(fan.x[-1, -1]) <= 4.0 + 0.05
-
-
 def test_dense_output_matches_closed_form():
     x0 = np.linspace(-1, 1, 9)
     fan = ch.integrate_fan(BURGERS, "x^2/2", x0, T=1.0, h_t=0.01,

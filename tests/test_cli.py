@@ -145,6 +145,30 @@ def test_exit_codes(tmp_path, capsys):
     good = write_ini(tmp_path, MINIMAL, "good.ini")
     assert cli.main(["evolve", "--scenario", good, "--threads", "zero"]) == 2
     assert cli.main(["evolve", "--scenario", good, "--seed", "-3"]) == 2
+    # [regularization] and [verify] values are checked on load, whether or
+    # not the front shocks
+    for name, extra, key in (
+            ("profile", "epsilon = 1e-2\nB_profile = cubic", "B_profile"),
+            ("beta_sign", "epsilon = 1e-2\nbeta = -0.1", "beta"),
+            ("beta_small", "epsilon = 1e-2\nbeta = 0.05", "beta")):
+        bad = write_ini(tmp_path, MINIMAL + "\n[regularization]\n" + extra,
+                        f"{name}.ini")
+        assert cli.main(["limit-study", "--scenario", bad]) == 2
+        assert f"[regularization] {key}:" in capsys.readouterr().err
+    no_bumps = write_ini(tmp_path, MINIMAL + "\n[verify]\nbumps = 0\n",
+                         "no_bumps.ini")
+    assert cli.main(["verify", "--scenario", no_bumps]) == 2
+    assert "[verify] bumps:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(
+    f for f in os.listdir(SCENARIOS) if f.endswith(".ini")))
+def test_shipped_scenarios_load_and_run(name, tmp_path):
+    scenario.load(preset(name))
+    out = tmp_path / "run"
+    assert cli.main(["singularity", "--scenario", preset(name),
+                     "--out", str(out)]) == 0
+    assert (out / "manifest.json").exists()
 
 
 def test_scenario_validation(tmp_path):

@@ -93,6 +93,23 @@ def test_godunov_cfl_violation(m_burgers):
                        (-2.0, 2.0), 1000, T=0.5, dt=1.0)
 
 
+def test_godunov_solves_the_sonic_point_once(monkeypatch):
+    # the flux is autonomous: its sonic point is solved before the time loop
+    m = symbol.make_symbol(A="0.4", V="0.2", jumps=((1.0, "0.5"),))
+    calls = []
+    solve = symbol.legendre_clamped
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(symbol, "legendre_clamped", counted)
+    sol = oracle.godunov(m, lambda x: np.where(x < 0, -1.0, 1.2),
+                         (-2.0, 2.0), 400, T=0.5, store_times=(0.25, 0.5))
+    assert sol.times.size == 2
+    assert len(calls) == 1
+
+
 def test_godunov_velocity_matches_characteristics(tanh_fan, m_burgers):
     sol = oracle.godunov(m_burgers, lambda x: -np.tanh(x),
                          (-4.0, 4.0), 2000, T=1.5)
@@ -103,16 +120,16 @@ def test_godunov_velocity_matches_characteristics(tanh_fan, m_burgers):
     assert err <= 5e-2
 
 
-def _bisection_sonic_point(m, t=0.0):
+def _bisection_sonic_point(m):
     # the 90-step bisection godunov used before the shared Newton solve
     lo, hi = symbol.P_BOX
-    if symbol.eval_dP_dp(m, 0.0, lo, t) >= 0.0:
+    if symbol.eval_dP_dp(m, 0.0, lo) >= 0.0:
         return lo
-    if symbol.eval_dP_dp(m, 0.0, hi, t) <= 0.0:
+    if symbol.eval_dP_dp(m, 0.0, hi) <= 0.0:
         return hi
     for _ in range(90):
         mid = 0.5 * (lo + hi)
-        if symbol.eval_dP_dp(m, 0.0, mid, t) < 0.0:
+        if symbol.eval_dP_dp(m, 0.0, mid) < 0.0:
             lo = mid
         else:
             hi = mid

@@ -58,6 +58,13 @@ def test_blend_profiles_ramp():
         assert B(40.0) > 1.0 - 1e-9
         z = np.linspace(-6.0, 6.0, 101)
         assert np.all(np.diff(B(z)) > 0.0)
+        # the closed-form window integral has derivative 1 - B
+        W = regularize._window_integral(pars, 0.3)
+        t = np.linspace(0.0, 1.0, 201)
+        h = 1e-6
+        dW = (W(t + h) - W(t - h)) / (2.0 * h)
+        assert abs(float(W(0.0))) < 1e-15
+        assert np.max(np.abs(dW - (1.0 - B((t - 0.3) / pars.epsilon)))) < 1e-6
 
 
 def test_insertion_linear_data_focuses_exactly(m_burgers):
@@ -88,20 +95,20 @@ def test_insertion_jump_symbol_roundtrip_and_range_error(m_jump):
         ins.u1(1.5)  # target speed drops below the symbol's range
 
 
-def _old_u1(ins, x0, t=0.0):
+def _old_u1(ins, x0):
     # the per-label safeguarded Newton loop Insertion.u1 ran before it
     # called symbol.legendre_batch
     out = []
-    for v in np.atleast_1d(ins.speed(x0, t)):
+    for v in np.atleast_1d(ins.speed(x0)):
         a, c = symbol.P_BOX
         p = 0.5 * (ins.p_l0 + ins.p_r0)
         for _ in range(80):
-            f = float(symbol.eval_dP_dp(ins.symbol, ins.x0_star, p, t)) - v
+            f = float(symbol.eval_dP_dp(ins.symbol, ins.x0_star, p)) - v
             if f > 0.0:
                 c = p
             else:
                 a = p
-            h = float(symbol.eval_hess(ins.symbol, ins.x0_star, p, t))
+            h = float(symbol.eval_hess(ins.symbol, ins.x0_star, p))
             p_new = p - (f / h if h > 0.0 else math.inf)
             if not (a < p_new < c):
                 p_new = 0.5 * (a + c)

@@ -69,10 +69,11 @@ def test_exponent_guard():
 
 
 def test_time_dependence_gate():
+    # coefficient fields name x only: the symbol is autonomous
     with pytest.raises(SymbolError):
         make_symbol(A="0.5*(1+t)")
-    m = make_symbol(A="0.5*(1+t)", time_dependent=True)
-    assert eval_P(m, 0.0, 2.0, t=1.0) == 4.0
+    with pytest.raises(SymbolError):
+        make_symbol(jumps=((1.0, "exp(0-y^2)"),))
 
 
 def test_legendre_burgers_closed_form():
