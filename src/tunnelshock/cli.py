@@ -61,9 +61,15 @@ def _slice_times(fan, count=9):
 
 
 def _slice_grid(gd, t, n=241):
-    """Query positions strictly inside the covered window at time t."""
-    curve = gd.curve_at(t)
-    lo, hi = float(curve.x.min()), float(curve.x.max())
+    """Query positions strictly inside the label-tracked window at time t.
+
+    The window runs between the images of the first and last label, the
+    span `density.mass_balance` integrates.  Outside it only branches that
+    folded back cover a point, and the true minimizer there may start from
+    a label outside the box.
+    """
+    i_t = gd.fan.index_of_time(t)
+    lo, hi = float(gd.fan.x[i_t, 0]), float(gd.fan.x[i_t, -1])
     pad = 1e-9 * (1.0 + hi - lo)
     return np.linspace(lo + pad, hi - pad, n)
 

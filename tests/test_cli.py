@@ -78,6 +78,36 @@ def test_evolve_leaves_fold_points_out_of_density(tmp_path):
     assert np.min(np.abs(den["x"][np.abs(den["t"] - 0.5) < 1e-12])) > 1e-3
 
 
+def test_evolve_rows_stay_in_the_label_window(tmp_path, monkeypatch):
+    # merging_fronts folds back past the images of its first and last label
+    # (at t = 1.4 the curve spans [-1.55, 1.55], the window [-1.2, 1.2]);
+    # no essential.csv or density.csv row may come from outside the window
+    fans = []
+    build_fan = cli._build_fan
+
+    def build(sc):
+        fans.append(build_fan(sc))
+        return fans[-1]
+
+    monkeypatch.setattr(cli, "_build_fan", build)
+    # fan.csv is not under test and takes a third of the run
+    monkeypatch.setattr(cli.characteristics, "fan_to_csv",
+                        lambda fan, path: None)
+    out = tmp_path / "run"
+    rc = cli.main(["evolve", "--scenario", preset("merging_fronts.ini"),
+                   "--out", str(out)])
+    assert rc == 0
+    fan, = fans
+    for name in ("essential.csv", "density.csv"):
+        tab = read_csv(out / name)
+        ts = np.unique(tab["t"])
+        assert ts.size == 9
+        for t in ts:
+            i = fan.index_of_time(t)
+            x = tab["x"][tab["t"] == t]
+            assert np.all((x > fan.x[i, 0]) & (x < fan.x[i, -1])), (name, t)
+
+
 def test_singularity_front(tmp_path):
     out = tmp_path / "run"
     rc = cli.main(["singularity", "--scenario", preset("steep_front.ini"),

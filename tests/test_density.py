@@ -1,8 +1,12 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tunnelshock
 from tunnelshock import characteristics, density, expr, manifold, symbol
 
 
@@ -99,6 +103,48 @@ def test_mass_balance_tanh(tanh_mass_gd):
     assert shock0 == 0.0
     assert shock1 > 1.0
     assert reg1 < reg0
+
+
+def test_mass_balance_at_the_fold_instant(tanh_mass_gd):
+    # criterion 06's fold instant: J vanishes at label 0, so x(x0) has a
+    # cusp at x = 0 that an x-space rule on the interpolant cannot
+    # integrate; the regular mass must still be the integral of
+    # rho0*exp(-a_int) over the labels no shock has absorbed (all of them,
+    # the shock is just born)
+    gd = tanh_mass_gd
+    assert abs(gd.shocks[0].t_birth - 1.0) < 1e-9
+    fan = gd.fan
+    i = fan.index_of_time(1.0)
+    assert np.min(np.abs(fan.J[i])) < density.J_CONTACT_TOL
+    reg, shock, init, _ = density.mass_balance(gd, 1.0)
+    assert abs(shock) < 1e-12
+    label = np.trapezoid(np.exp(-fan.a_int[i]), fan.x0)  # rho0 = 1
+    assert abs(reg - label) <= 1e-6 * init
+
+
+def test_mass_balance_flags_inconsistent_jacobian(tanh_mass_gd):
+    # J scaled at one stored time: the x-space density drops by 1% while
+    # the label-space mass does not see J, so the two disagree
+    gd = tanh_mass_gd
+    J = gd.fan.J.copy()
+    J[gd.fan.index_of_time(1.5)] *= 1.01
+    bad = dataclasses.replace(gd, fan=dataclasses.replace(gd.fan, J=J))
+    with pytest.raises(density.DensityError, match="x-space.*label-space"):
+        density.mass_balance(bad, 1.5)
+    assert density.mass_balance(bad, 3.0)[3] < 1e-5
+
+
+def test_import_leaves_scipy_integrate_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        tunnelshock.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import tunnelshock, sys; "
+         "assert 'scipy.integrate' not in sys.modules"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_merge_adds_amplitudes(kirchhoff_gd):
