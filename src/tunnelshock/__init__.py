@@ -7,23 +7,10 @@ data (`characteristics`), extract minimal-action branches and track jumps
 the weak-form identities (`verify`), cross-check against brute-force ground
 truth (`oracle`), and build the window-regularized global flow
 (`regularize`).  `scenario` + `cli` drive it all from flat config files.
+
+The package imports none of them: import each one by name
+(`from tunnelshock import density`), and only it and its dependencies load,
+so `expr` and `symbol` come without scipy.
 """
 
-from . import (characteristics, cli, density, expr, manifold, oracle,
-               regularize, scenario, symbol, verify)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    "characteristics",
-    "cli",
-    "density",
-    "expr",
-    "manifold",
-    "oracle",
-    "regularize",
-    "scenario",
-    "symbol",
-    "verify",
-]

@@ -6,9 +6,9 @@ Integrates, per initial label x0:
     (dx)' = P_px dx + P_pp dp            (dp)' = -P_xx dx - P_xp dp
 
 with J = dx the projected Jacobian, plus the running integral of the
-zero-order transport coefficient a (either -d2P/dxdp along the path or an
-explicit field f(x, u) with u = dP/dp).  Classic fourth-order Runge-Kutta
-with a fixed step and a step-doubling local error monitor.
+symbol's zero-order transport coefficient a = -d2P/dxdp along the path.
+Classic fourth-order Runge-Kutta with a fixed step and a step-doubling
+local error monitor.
 """
 
 from dataclasses import dataclass, field
@@ -42,7 +42,6 @@ class Fan:
     dp: np.ndarray     # variational partner of J
     a_int: np.ndarray
     h_t: float
-    a_mode: object = "auto"
     rhs: object = field(default=None, repr=False)
 
     @property
@@ -95,25 +94,15 @@ def _cubic_hermite(s, h, ya, yb, fa, fb):
     return h00 * ya + h10 * h * fa + h01 * yb + h11 * h * fb
 
 
-def _make_a_eval(m, a_mode):
-    """Damping a(x, p, u), broadcast to the shape of x: -d2P/dxdp along the
-    path for "auto", else an expression in (x, u)."""
-    if a_mode == "auto":
-        def a_eval(x, p, u):
-            return -symbol.eval_d2P_dxdp(m, x, p) + np.zeros_like(x)
-        return a_eval
-    a_mode = expr.as_expression(a_mode, ("x", "u"))
-    if isinstance(a_mode, expr.Expression):
-        def a_eval(x, p, u):
-            return expr.evaluate_at(a_mode, x, u=u)
-        return a_eval
-    raise CharacteristicsError(f"bad a_mode {a_mode!r}")
+def damping(m, x, p):
+    """The symbol's zero-order transport coefficient a = -d2P/dxdp at
+    (x, p), broadcast to the shape of x."""
+    return -symbol.eval_d2P_dxdp(m, x, p) + np.zeros_like(x)
 
 
-def hamiltonian_rhs(m, a_mode="auto"):
+def hamiltonian_rhs(m):
     """RHS closure for the characteristic + variational + transport system;
     the symbol is autonomous, so the closure ignores its time argument."""
-    a_eval = _make_a_eval(m, a_mode)
 
     def rhs(t, y):
         x, p = y["x"], y["p"]
@@ -129,7 +118,7 @@ def hamiltonian_rhs(m, a_mode="auto"):
             "S": p * Pp - P,
             "J": Pxp * y["J"] + Ppp * y["dp"],
             "dp": -Pxx * y["J"] - Pxp * y["dp"],
-            "a_int": a_eval(x, p, Pp),
+            "a_int": damping(m, x, p),
         }
 
     return rhs
@@ -162,22 +151,17 @@ def monitored_step(rhs, t, y, h):
     return two
 
 
-def integrate_fan(m, S0, x0, T, h_t, a_mode="auto", store_every=1,
-                  S0_prime=None, S0_second=None, t0=0.0, initial=None):
-    """Integrate a fan of characteristics from t0 to t0+T.
+def integrate_fan(m, S0, x0, T, h_t, store_every=1, S0_prime=None):
+    """Integrate a fan of characteristics from 0 to T.
 
     Args:
         m: SymbolModel.
-        S0: initial action Expression (ignored when ``initial`` is given).
+        S0: initial action, an expression in x.
         x0: increasing array of initial labels.
         T, h_t: horizon and integration step; every ``store_every``-th state
             is stored, and T/h_t must be a whole multiple of store_every.
-        a_mode: "auto" for -d2P/dxdp along paths, or an expression in (x, u).
-        S0_prime, S0_second: optional overrides for S0' and S0''; by
-            default they are the exact derivatives of S0 and of S0_prime.
-            S0 and its overrides are expressions in x.
-        initial: optional dict of starting fields (x, p, S, J, dp, a_int)
-            for fans launched from a prepared curve rather than S0.
+        S0_prime: optional override for S0', an expression in x; by default
+            the exact derivative of S0.  S0'' is the exact derivative of S0'.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or x0.size < 1:
@@ -190,39 +174,33 @@ def integrate_fan(m, S0, x0, T, h_t, a_mode="auto", store_every=1,
     if n_steps % store_every != 0:
         raise CharacteristicsError("store_every must divide the step count")
 
-    if initial is None:
-        S0 = expr.as_expression(S0, ("x",))
-        S0_prime = (expr.diff(S0) if S0_prime is None
-                    else expr.as_expression(S0_prime, ("x",)))
-        S0_second = (expr.diff(S0_prime) if S0_second is None
-                     else expr.as_expression(S0_second, ("x",)))
-        y = {
-            "x": x0.copy(),
-            "p": expr.evaluate_at(S0_prime, x0),
-            "S": expr.evaluate_at(S0, x0),
-            "J": np.ones_like(x0),
-            "dp": expr.evaluate_at(S0_second, x0),
-            "a_int": np.zeros_like(x0),
-        }
-    else:
-        y = {f: np.asarray(initial[f], dtype=float).copy() for f in _FIELDS}
+    S0 = expr.as_expression(S0, ("x",))
+    S0_prime = (expr.diff(S0) if S0_prime is None
+                else expr.as_expression(S0_prime, ("x",)))
+    y = {
+        "x": x0.copy(),
+        "p": expr.evaluate_at(S0_prime, x0),
+        "S": expr.evaluate_at(S0, x0),
+        "J": np.ones_like(x0),
+        "dp": expr.evaluate_at(expr.diff(S0_prime), x0),
+        "a_int": np.zeros_like(x0),
+    }
 
-    rhs = hamiltonian_rhs(m, a_mode)
+    rhs = hamiltonian_rhs(m)
     n_stored = n_steps // store_every + 1
     store = {f: np.empty((n_stored, x0.size)) for f in _FIELDS}
     for f in _FIELDS:
         store[f][0] = y[f]
-    times = t0 + h_t * store_every * np.arange(n_stored)
+    times = h_t * store_every * np.arange(n_stored)
 
     for k in range(n_steps):
-        y = monitored_step(rhs, t0 + k * h_t, y, h_t)
+        y = monitored_step(rhs, k * h_t, y, h_t)
         if (k + 1) % store_every == 0:
             i = (k + 1) // store_every
             for f in _FIELDS:
                 store[f][i] = y[f]
 
-    return Fan(symbol=m, x0=x0, times=times, h_t=h_t, a_mode=a_mode, rhs=rhs,
-               **store)
+    return Fan(symbol=m, x0=x0, times=times, h_t=h_t, rhs=rhs, **store)
 
 
 def jacobian_check(fan, i_t=None):

@@ -38,13 +38,11 @@ def transport_density(fan, rho0="1"):
         return vals[None, :] * np.exp(-fan.a_int) / np.abs(fan.J)
 
 
-def _friction_at_shock(fan, x_s, p_l, p_r, c):
+def _friction_at_shock(fan, x_s, p_l, p_r):
     """Damping felt by a point mass on the path, matching the bulk transport:
-    the fan's bulk damping at the mean momentum, with the path speed c as u.
-    """
-    a_eval = characteristics._make_a_eval(fan.symbol, fan.a_mode)
+    the symbol's damping at the mean momentum."""
     p_bar = 0.5 * (np.asarray(p_l) + np.asarray(p_r))
-    return a_eval(np.asarray(x_s), p_bar, np.asarray(c))
+    return characteristics.damping(fan.symbol, np.asarray(x_s), p_bar)
 
 
 def _aint_on_label(fan, t, x0_star):
@@ -150,7 +148,7 @@ def attach_amplitudes(gd):
         rho_r = rho0(rec.x0_r) * np.exp(-rec.aint_r)
         rec.R_l = rho_l / np.abs(rec.J_l)
         rec.R_r = rho_r / np.abs(rec.J_r)
-        f = _friction_at_shock(gd.fan, rec.x_s, rec.p_l, rec.p_r, rec.c)
+        f = _friction_at_shock(gd.fan, rec.x_s, rec.p_l, rec.p_r)
         sl = np.sign(rec.J_l)
         sr = np.sign(rec.J_r)
         if rec.parents:

@@ -7,9 +7,7 @@ window of width ``epsilon``, into rigid transport at the jump speed.  For
 every positive ``epsilon`` the flow map stays strictly increasing while its
 Jacobian bottoms out at O(epsilon) instead of vanishing; rows outside the
 collar run plainly until they land on the moving cluster and are absorbed
-by it.  The module also provides the reverse operation: cutting the
-jump-connected curve out of a folded fan and flowing it backward into
-fresh single-valued data.
+by it.
 """
 
 import functools
@@ -22,9 +20,9 @@ import numpy as np
 from . import characteristics
 from . import density
 from . import expr
-from . import manifold
 from . import symbol
-# bench/tracing.py wraps these by-name imports; eval_hess is unused here
+# bench/tracing.py wraps these by-name imports; eval_dP_dx and eval_hess
+# are unused here
 from .symbol import (eval_P, eval_dP_dp, eval_dP_dx, eval_hess,  # noqa: F401
                      P_BOX)
 
@@ -592,117 +590,3 @@ def limit_study(m, S0, rho0, eps_schedule, T, S0_prime=None, betas=None,
         e_errors=tuple(e_errs), j_floors=tuple(j_floors), t_star=t_star,
         x0_star=x0_star, e_ref_T=float(e_ref_T), shocked=shocked,
         monotone_R=mono_R, monotone_e=mono_e)
-
-
-# ---------------------------------------------------------------------------
-# backward-flow surgery
-
-
-def flow_samples(m, x, p, S, t_start, duration, h_t=2.5e-3):
-    """RK4 transport of (x, p, S) samples; duration may be negative."""
-    y = {"x": np.array(x, dtype=float), "p": np.array(p, dtype=float),
-         "S": np.array(S, dtype=float)}
-    steps = max(1, int(math.ceil(abs(duration) / h_t)))
-    h = duration / steps
-
-    def rhs(t, y):
-        xx, pp = y["x"], y["p"]
-        dx = eval_dP_dp(m, xx, pp) + np.zeros_like(xx)
-        return {"x": dx,
-                "p": -(eval_dP_dx(m, xx, pp) + np.zeros_like(xx)),
-                "S": pp * dx - (eval_P(m, xx, pp) + np.zeros_like(xx))}
-
-    t = float(t_start)
-    for _ in range(steps):
-        y = characteristics.rk4_step(rhs, t, y, h)
-        t += h
-    if not all(np.all(np.isfinite(a)) for a in y.values()):
-        raise RegularizeError("transported samples left the working range")
-    return y["x"], y["p"], y["S"]
-
-
-@dataclass
-class SurgeryCurve:
-    """Single-valued (x, p, S) data recovered by pulling a cut curve back."""
-    t0: float
-    t_cut: float
-    x: np.ndarray
-    p: np.ndarray
-    S: np.ndarray
-    a1: float
-    a2: float
-    x_cut: float
-    n_left: int
-    n_segment: int
-
-
-def surgery(m, fan, t_star, beta, t1, n_segment=65, h_t=2.5e-3,
-            records=None):
-    """Cut the jump-connected curve at t*+beta and flow it back by t1.
-
-    The curve consists of the one-sided branches on either side of the jump
-    joined by a vertical momentum segment at the equal-action point; pulled
-    back, it must be single-valued in x (otherwise t1 is too large).  The
-    junction pre-images a1 < a2 mark where the recovered data loses
-    smoothness.
-    """
-    if not (beta > 0.0 and t1 > 0.0):
-        raise RegularizeError("beta and t1 must be positive")
-    if n_segment < 3:
-        raise RegularizeError("n_segment must be at least 3")
-    t_cut = float(t_star) + float(beta)
-    if t_cut > float(fan.times[-1]) + 1e-9:
-        raise RegularizeError("fan ends before the cut time t*+beta")
-    recs = manifold.track_shocks(fan) if records is None else records
-    live = [r for r in recs
-            if r.times is not None and r.times.size >= 2
-            and r.t_birth <= t_cut + 1e-12
-            and (r.t_end is None or r.t_end >= t_cut - 1e-12)]
-    if not live:
-        raise RegularizeError("no jump is alive at the cut time")
-    cut = min(live, key=lambda r: r.t_birth).at(t_cut)
-    x_cut = cut["x_s"]
-
-    st = fan.state_at(t_cut)
-    li = fan.x0 <= cut["x0_l"] - 1e-12
-    ri = fan.x0 >= cut["x0_r"] + 1e-12
-    xl, pl, Sl = st["x"][li], st["p"][li], st["S"][li]
-    xr, pr, Sr = st["x"][ri], st["p"][ri], st["S"][ri]
-    kl = xl < x_cut - 1e-9
-    kr = xr > x_cut + 1e-9
-    xl, pl, Sl = xl[kl], pl[kl], Sl[kl]
-    xr, pr, Sr = xr[kr], pr[kr], Sr[kr]
-    if xl.size < 2 or xr.size < 2:
-        raise RegularizeError("cut curve has no room on one side of the jump")
-    if np.any(np.diff(xl) <= 0.0) or np.any(np.diff(xr) <= 0.0):
-        raise RegularizeError("one-sided branch is not single-valued "
-                              "at the cut time")
-    seg_p = np.linspace(cut["p_l"], cut["p_r"], int(n_segment))
-    X = np.concatenate([xl, np.full(seg_p.shape, x_cut), xr])
-    P = np.concatenate([pl, seg_p, pr])
-    S = np.concatenate([Sl, np.full(seg_p.shape, cut["S_s"]), Sr])
-    n_left = int(xl.size)
-
-    xb, pb, Sb = flow_samples(m, X, P, S, t_cut, -float(t1), h_t)
-    if np.any(np.diff(xb) <= 0.0):
-        raise RegularizeError("t1 too large: the pulled-back curve folds over")
-    a1 = float(xb[n_left])
-    a2 = float(xb[n_left + int(n_segment) - 1])
-    return SurgeryCurve(
-        t0=t_cut - float(t1), t_cut=t_cut, x=xb, p=pb, S=Sb,
-        a1=a1, a2=a2, x_cut=x_cut, n_left=n_left, n_segment=int(n_segment))
-
-
-def restart_fan(m, curve, T, h_t, store_every=1):
-    """Launch a fresh fan from a pulled-back curve (labels = positions)."""
-    initial = {
-        "x": curve.x.copy(),
-        "p": curve.p.copy(),
-        "S": curve.S.copy(),
-        "J": np.ones_like(curve.x),
-        "dp": np.gradient(curve.p, curve.x),
-        "a_int": np.zeros_like(curve.x),
-    }
-    return characteristics.integrate_fan(
-        m, None, curve.x, T, h_t, store_every=store_every, t0=curve.t0,
-        initial=initial)

@@ -152,7 +152,6 @@ def identity_residuals(gd, zeta, levels, e_scale=1.0, e_scale_ids=None):
         raise VerifyError(
             f"bump support [{t_lo:g}, {t_hi:g}] clips the computed time "
             f"range [0, {float(fan.times[-1]):g}]")
-    a_eval = characteristics._make_a_eval(fan.symbol, fan.a_mode)
     live = [rec for rec in gd.shocks
             if rec.times is not None and rec.times.size]
     paths = [_extended_path(gd, rec) for rec in live]
@@ -192,7 +191,7 @@ def identity_residuals(gd, zeta, levels, e_scale=1.0, e_scale_ids=None):
             part = slice(stop, stop + x_all.size)
             stop = part.stop
             u = f["u"][part]
-            a = a_eval(x_all, f["p"][part], u)
+            a = characteristics.damping(fan.symbol, x_all, f["p"][part])
             integrand = f["R"][part] * (zeta.d_t(x_all, t)
                                         + u * zeta.d_x(x_all, t)
                                         - a * zeta.value(x_all, t))
@@ -213,7 +212,7 @@ def identity_residuals(gd, zeta, levels, e_scale=1.0, e_scale_ids=None):
                 e = e * e_scale
             p_l = np.interp(tt, path["t"], path["p_l"])
             p_r = np.interp(tt, path["t"], path["p_r"])
-            fr = density._friction_at_shock(fan, x_s, p_l, p_r, c)
+            fr = density._friction_at_shock(fan, x_s, p_l, p_r)
             integrand = e * (zeta.d_t(x_s, tt) + c * zeta.d_x(x_s, tt)
                              - fr * zeta.value(x_s, tt))
             totals[j] += float(np.dot(ww, integrand))

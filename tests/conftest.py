@@ -54,7 +54,7 @@ def tanh_mass_gd(burgers_symbol):
     x0 = np.linspace(-6.0, 6.0, 2401)
     fan = characteristics.integrate_fan(
         burgers_symbol, "log(sech(x))", x0, T=3.0, h_t=5e-3, store_every=5,
-        S0_prime="0-tanh(x)", S0_second="0-sech(x)^2")
+        S0_prime="0-tanh(x)")
     return density.build_density(fan, rho0="1")
 
 

@@ -13,7 +13,7 @@ def test_focusing_closed_form():
     # S = -x0^2 (1-t)/2, a = 0
     x0 = np.linspace(-2, 2, 41)
     fan = ch.integrate_fan(BURGERS, "-x^2/2", x0, T=0.8, h_t=0.01,
-                           S0_prime="-x", S0_second="-1")
+                           S0_prime="-x")
     for i, t in enumerate(fan.times):
         assert np.allclose(fan.x[i], x0 * (1 - t), atol=1e-12)
         assert np.allclose(fan.p[i], -x0, atol=1e-12)
@@ -25,7 +25,7 @@ def test_focusing_closed_form():
 def test_rarefaction_closed_form():
     x0 = np.linspace(-2, 2, 21)
     fan = ch.integrate_fan(BURGERS, "x^2/2", x0, T=1.0, h_t=0.01,
-                           S0_prime="x", S0_second="1")
+                           S0_prime="x")
     t = fan.times[-1]
     assert np.allclose(fan.x[-1], x0 * (1 + t), atol=1e-12)
     assert np.allclose(fan.J[-1], 1 + t, atol=1e-12)
@@ -48,20 +48,18 @@ def test_jump_symbol_translation():
 
 
 def test_numeric_initial_momenta_match_exact():
-    # no S0_prime/S0_second provided: exact symbolic derivatives supply them
+    # no S0_prime provided: exact symbolic derivatives give S0' and S0''
     x0 = np.linspace(-1.5, 1.5, 31)
     fan = ch.integrate_fan(BURGERS, "log(sech(x))", x0, T=0.5, h_t=0.01)
-    assert np.allclose(fan.p[0], -np.tanh(x0), atol=1e-9)
-    fan_exact = ch.integrate_fan(BURGERS, "log(sech(x))", x0, T=0.5, h_t=0.01,
-                                 S0_prime="-tanh(x)", S0_second="-sech(x)^2")
-    assert np.allclose(fan.x[-1], fan_exact.x[-1], atol=1e-7)
-    assert np.allclose(fan.J[-1], fan_exact.J[-1], atol=1e-6)
-
-
-def test_explicit_a_field_accumulates():
-    fan = ch.integrate_fan(BURGERS, "x^2/2", np.linspace(-1, 1, 5),
-                           T=0.75, h_t=0.01, a_mode="x*0+1")
-    assert np.allclose(fan.a_int[-1], 0.75, atol=1e-12)
+    assert np.allclose(fan.p[0], -np.tanh(x0), rtol=0, atol=1e-15)
+    assert np.allclose(fan.dp[0], -1.0 / np.cosh(x0) ** 2, rtol=0, atol=1e-15)
+    # a given S0' still has its S0'' from the exact derivative
+    given = ch.integrate_fan(BURGERS, "log(sech(x))", x0, T=0.5, h_t=0.01,
+                             S0_prime="-tanh(x)")
+    assert np.allclose(given.dp[0], -1.0 / np.cosh(x0) ** 2, rtol=0,
+                       atol=1e-15)
+    assert np.allclose(fan.x[-1], given.x[-1], atol=1e-12)
+    assert np.allclose(fan.J[-1], given.J[-1], atol=1e-12)
 
 
 def test_auto_a_field_for_x_dependent_diffusion():
@@ -69,7 +67,7 @@ def test_auto_a_field_for_x_dependent_diffusion():
     m = make_symbol(A="0.5*(1+0.5*sin(x))")
     x0 = np.array([0.4])
     fan = ch.integrate_fan(m, "0.3*x", x0, T=0.2, h_t=0.002,
-                           S0_prime="0.3", S0_second="0")
+                           S0_prime="0.3")
     # integrate the closed-form coefficient along the computed path
     ts = fan.times
     vals = -0.5 * np.cos(fan.x[:, 0]) * fan.p[:, 0]
@@ -80,7 +78,7 @@ def test_auto_a_field_for_x_dependent_diffusion():
 def test_jacobian_check_linear_flow_exact():
     x0 = np.linspace(-2, 2, 41)
     fan = ch.integrate_fan(BURGERS, "-x^2/2", x0, T=0.9, h_t=0.01,
-                           S0_prime="-x", S0_second="-1")
+                           S0_prime="-x")
     assert ch.jacobian_check(fan) < 1e-11
 
 
@@ -99,7 +97,7 @@ def test_step_doubling_rejects_coarse_step():
 def test_dense_output_matches_closed_form():
     x0 = np.linspace(-1, 1, 9)
     fan = ch.integrate_fan(BURGERS, "x^2/2", x0, T=1.0, h_t=0.01,
-                           store_every=10, S0_prime="x", S0_second="1")
+                           store_every=10, S0_prime="x")
     for t in (0.133, 0.5051, 0.989):
         y = fan.state_at(t)
         assert np.allclose(y["x"], x0 * (1 + t), atol=1e-9)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from tunnelshock import cli, scenario
+from tunnelshock import cli, density, scenario
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -106,6 +107,32 @@ def test_evolve_rows_stay_in_the_label_window(tmp_path, monkeypatch):
             i = fan.index_of_time(t)
             x = tab["x"][tab["t"] == t]
             assert np.all((x > fan.x[i, 0]) & (x < fan.x[i, -1])), (name, t)
+
+
+def test_evolve_slices_match_a_wider_box():
+    # the same merging_fronts slices from a fan on a box 2 wider on each
+    # side, at the same label spacing so the shared labels coincide: inside
+    # the label-tracked window no label from outside the box can reach, so
+    # the rows evolve writes agree to rounding.  Outside it they do not: at
+    # t = 1.4, x = 1.4 only folded-back branches of the narrow fan remain.
+    sc = scenario.load(preset("merging_fronts.ini"))
+    spacing = (sc.x_max - sc.x_min) / (sc.n_x0 - 1)
+    wide = dataclasses.replace(sc, x_min=sc.x_min - 2, x_max=sc.x_max + 2,
+                               n_x0=sc.n_x0 + int(round(4 / spacing)))
+    gd, gd_wide = (density.build_density(cli._build_fan(s), s.rho0,
+                                         shocks=()) for s in (sc, wide))
+    fan = gd.fan
+    for t in cli._slice_times(fan):
+        i = fan.index_of_time(t)
+        xs = cli._slice_grid(gd, t)
+        assert np.all((xs > fan.x[i, 0]) & (xs < fan.x[i, -1])), t
+        got = gd.fields(t, xs, skip_folds=True)
+        ref = gd_wide.fields(t, xs, skip_folds=True)
+        for f in ("S", "p", "u", "x0", "R"):
+            np.testing.assert_allclose(got[f], ref[f], rtol=0, atol=1e-12,
+                                       equal_nan=True, err_msg=f"{f} t={t}")
+    outside = [g.fields(1.4, [1.4])["S"][0] for g in (gd, gd_wide)]
+    assert abs(outside[0] - outside[1]) > 1.0
 
 
 def test_singularity_front(tmp_path):

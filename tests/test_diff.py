@@ -135,7 +135,11 @@ def test_fan_defaults_match_explicit_exact_derivatives():
     x0 = np.linspace(-1.5, 1.5, 31)
     fan = ch.integrate_fan(m, "log(sech(x))", x0, T=0.5, h_t=0.01)
     exact = ch.integrate_fan(m, "log(sech(x))", x0, T=0.5, h_t=0.01,
-                             S0_prime="0-tanh(x)", S0_second="0-sech(x)^2")
+                             S0_prime="0-tanh(x)")
+    # S0'' is the exact derivative of S0' either way
+    sech2 = 1.0 / np.cosh(x0) ** 2
+    np.testing.assert_allclose(fan.dp[0], -sech2, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(exact.dp[0], -sech2, rtol=0, atol=1e-15)
     for f in ("x", "p", "S", "J", "dp", "a_int"):
         np.testing.assert_allclose(getattr(fan, f), getattr(exact, f),
                                    rtol=0, atol=1e-12)

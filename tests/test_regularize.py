@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tunnelshock import characteristics, manifold, regularize, symbol
+from tunnelshock import characteristics, regularize, symbol
 
 
 @pytest.fixture(scope="module")
@@ -20,16 +20,6 @@ def m_jump():
 def tanh_flow(m_burgers):
     params = regularize.RegularizationParams(1e-2, 1e-1)
     return regularize.blended_fan(m_burgers, "0-tanh(2*x)", params, 1.0)
-
-
-@pytest.fixture(scope="module")
-def folded_fan(m_burgers):
-    x0 = np.linspace(-3.0, 3.0, 2401)
-    fan = characteristics.integrate_fan(
-        m_burgers, "log(sech(x))", x0, T=1.2, h_t=2.5e-3, store_every=2,
-        S0_prime="0-tanh(x)")
-    ev = manifold.first_singularity(fan)
-    return fan, ev, manifold.track_shocks(fan)
 
 
 def test_params_validation():
@@ -258,60 +248,3 @@ def test_limit_study_rejects_bad_schedule(m_burgers):
     with pytest.raises(regularize.RegularizeError):
         regularize.limit_study(m_burgers, "x^2/2", "1", (1e-2, 2.5e-3),
                                T=1.0, betas=(0.05,))
-
-
-def test_surgery_roundtrip_and_angles(m_burgers, folded_fan):
-    fan, ev, recs = folded_fan
-    for beta in (0.1, 0.05, 0.025):
-        cur = regularize.surgery(m_burgers, fan, ev.t, beta, 0.25,
-                                 records=recs)
-        assert np.all(np.diff(cur.x) > 0.0)
-        assert cur.a1 < cur.a2
-        assert 0.1 <= (cur.a2 - cur.a1) / beta <= 10.0
-        # forward flow restores the jump-connected curve at the cut time
-        xf, pf, Sf = regularize.flow_samples(m_burgers, cur.x, cur.p, cur.S,
-                                             cur.t0, 0.25)
-        ref = regularize.surgery(m_burgers, fan, ev.t, beta, 1e-9,
-                                 records=recs)
-        assert np.max(np.abs(xf - ref.x)) < 1e-6
-        assert np.max(np.abs(pf - ref.p)) < 1e-6
-        assert np.max(np.abs(Sf - ref.S)) < 1e-6
-        seg = slice(cur.n_left, cur.n_left + cur.n_segment)
-        assert np.max(np.abs(xf[seg] - cur.x_cut)) < 1e-6
-
-
-def test_surgery_restart_keeps_flow_regular_before_fold():
-    m = symbol.make_symbol(A="0.5", V="0.2*cos(x)")
-    x0 = np.linspace(-3.0, 3.0, 2401)
-    fan = characteristics.integrate_fan(
-        m, "log(sech(x))", x0, T=1.3, h_t=2.5e-3, store_every=2,
-        S0_prime="0-tanh(x)")
-    ev = manifold.first_singularity(fan)
-    cur = regularize.surgery(m, fan, ev.t, 0.1, 0.3)
-    fan2 = regularize.restart_fan(m, cur, T=0.3, h_t=2.5e-3, store_every=2)
-    assert abs(fan2.times[0] - cur.t0) < 1e-12
-    pre = fan2.times < ev.t - 1e-9
-    assert np.all(fan2.J[pre] > 0.0)
-    # the restarted fan refocuses right at the cut instant
-    assert fan2.J.min() < 1e-6
-
-
-def test_surgery_t1_too_large(m_burgers):
-    # data with an expanding stretch: pulling back too far folds the curve
-    x0 = np.linspace(-3.0, 3.0, 2401)
-    fan = characteristics.integrate_fan(
-        m_burgers, "log(sech(x)) - 0.26666666666666666*log(sech(3*(x-1.5)))",
-        x0, T=1.3, h_t=2.5e-3, store_every=2,
-        S0_prime="0-tanh(x)+0.8*tanh(3*(x-1.5))")
-    ev = manifold.first_singularity(fan)
-    recs = manifold.track_shocks(fan)
-    cur = regularize.surgery(m_burgers, fan, ev.t, 0.1, 1.5, records=recs)
-    assert np.all(np.diff(cur.x) > 0.0)
-    with pytest.raises(regularize.RegularizeError):
-        regularize.surgery(m_burgers, fan, ev.t, 0.1, 2.0, records=recs)
-
-
-def test_surgery_needs_live_jump(m_burgers, folded_fan):
-    fan, ev, recs = folded_fan
-    with pytest.raises(regularize.RegularizeError):
-        regularize.surgery(m_burgers, fan, 0.5, 0.1, 0.25, records=recs)

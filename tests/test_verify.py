@@ -15,12 +15,13 @@ def m_jump():
 
 
 @pytest.fixture(scope="module")
-def rarefaction_gd(m_burgers):
-    # expanding fan with unit damping: exact smooth generalized solution
+def rarefaction_gd():
+    # P = e^x (e^p - 1) with p = 0: an expanding fan damped by a = -e^x,
+    # with the exact smooth generalized solution R = e^(-x) + t
+    m = symbol.make_symbol(jumps=((1.0, "exp(x)"),))
     fan = characteristics.integrate_fan(
-        m_burgers, "x^2/2", np.linspace(-2.0, 2.0, 401), T=1.0, h_t=0.01,
-        a_mode="x*0+1", S0_prime="x", S0_second="x*0+1")
-    return density.build_density(fan, rho0="1")
+        m, "x*0", np.linspace(-3.0, -0.5, 401), T=0.5, h_t=0.005)
+    return density.build_density(fan, rho0="exp(0-x)")
 
 
 def test_bump_rejects_bad_support():
@@ -48,7 +49,7 @@ def test_bump_derivatives_match_finite_differences():
 
 
 def test_rarefaction_residual_decays(rarefaction_gd):
-    z = verify.BumpTestFunction(0.3, 0.5, 0.5, 0.35)
+    z = verify.BumpTestFunction(-1.7, 0.25, 0.8, 0.2)
     res = [verify.identity_residual(rarefaction_gd, z, lev)
            for lev in (5, 6, 7)]
     assert np.log2(res[0] / res[1]) >= 2.0
