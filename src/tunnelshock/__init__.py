@@ -9,8 +9,8 @@ truth (`oracle`), and build the window-regularized global flow
 (`regularize`).  `scenario` + `cli` drive it all from flat config files.
 
 The package imports none of them: import each one by name
-(`from tunnelshock import density`), and only it and its dependencies load,
-so `expr` and `symbol` come without scipy.
+(`from tunnelshock import density`), and only it and its dependencies load.
+Nothing here needs more than numpy.
 """
 
 __version__ = "0.1.0"

@@ -18,13 +18,6 @@ J_CONTACT_TOL = 1e-12
 # Gauss-Legendre points per knot interval of the mass rules; the refined
 # rule, which gives the value and the error estimate, has twice as many
 GAUSS_POINTS = 4
-# Near a fold x(x0) has a cusp, and a branch's interpolant in x is off over
-# several row intervals, not only the one at the fold.  At criterion 06's
-# fold contact (J ~ x0^2) the 2nd to 6th row intervals out lose 1.4e-2,
-# 3.1e-3, 8.4e-4, 3.1e-4 and 1.4e-4 of their mass, and |J| grows across them
-# by 4, 2.25, 1.78, 1.56 and 1.44.  The mass rules take a row interval whose
-# |J| changes by more than this factor in label space instead.
-CUSP_J_RATIO = 1.5
 
 
 class DensityError(ValueError):
@@ -60,10 +53,11 @@ class GeneralizedDensity:
 
     @functools.cached_property
     def initial_mass(self):
-        """Mass of rho0 over the label box, by the rule of `_label_mass`."""
+        """Mass of rho0 over the label box, by the refined rule of
+        `mass_balance` on every row interval."""
         x0 = self.fan.x0
-        return float(_label_mass(self.rho0, x0, np.zeros_like(x0),
-                                 x0[-1:])[0])
+        nodes, w = _gauss(x0[:-1], x0[1:], 2 * GAUSS_POINTS)
+        return float(np.sum(expr.evaluate_at(self.rho0, nodes) * w))
 
     def curve_at(self, t):
         return manifold.slice_dense(self.fan, t)
@@ -213,36 +207,6 @@ def _gauss(lo, hi, n):
     return 0.5 * (hi + lo)[:, None] + half * u, half * w
 
 
-def _label_mass(rho0, x0, a_int, y):
-    """Integral of rho0 * exp(-a_int) over the labels from x0[0] to each y.
-
-    The integrand is smooth in the label across folds.  rho0 is evaluated
-    exactly; a_int is a cubic Hermite between the rows, with slopes from
-    centred differences.  Every row interval gets the refined rule.
-    """
-    n = x0.size - 1
-    r = np.clip(np.searchsorted(x0, y, side="right") - 1, 0, n - 1)
-    rows = np.concatenate((np.arange(n), r))
-    lo = x0[rows]
-    nodes, w = _gauss(lo, np.concatenate((x0[1:], y)), 2 * GAUSS_POINTS)
-    h = (x0[rows + 1] - lo)[:, None]
-    slope = np.gradient(a_int, x0)
-    a = characteristics._cubic_hermite(
-        (nodes - lo[:, None]) / h, h, a_int[rows, None], a_int[rows + 1, None],
-        slope[rows, None], slope[rows + 1, None])
-    parts = np.sum(expr.evaluate_at(rho0, nodes) * np.exp(-a) * w, axis=1)
-    return np.concatenate(([0.0], np.cumsum(parts[:n])))[r] + parts[n:]
-
-
-def _cusp_intervals(J):
-    """Row intervals in the cusp zone of a fold: J changes sign across
-    them, or |J| changes by more than a factor CUSP_J_RATIO (which takes in
-    every fold contact, |J| < J_CONTACT_TOL next to a regular row)."""
-    a, b = np.abs(J[:-1]), np.abs(J[1:])
-    return ((np.sign(J[:-1]) != np.sign(J[1:]))
-            | (np.maximum(a, b) > CUSP_J_RATIO * np.minimum(a, b)))
-
-
 def mass_balance(gd, t):
     """Regular mass + shock masses over the label-tracked window at time t.
 
@@ -250,59 +214,44 @@ def mass_balance(gd, t):
     crosses them and the total must match the initial mass.  Returns
     (regular, shock_total, initial, relative_deviation).
 
-    The regular mass is integrated in x over the knot intervals of the
-    slice (the positions of its rows, and the shock cuts), by Gauss-Legendre
-    rules of GAUSS_POINTS and of twice as many points, all through one
-    density query.  Where the essential labels of an interval lie in the
-    cusp zone of a fold (`_cusp_intervals`) the interpolant in x is not
-    smooth; there the change of variables x = x(x0), dx = |J| dx0, turns
-    the interval into the smooth label integral of rho0 * exp(-a_int).
+    Between two knots (the rows of the slice and the shock cuts) one branch
+    is essential, and its labels span part of one row interval, where the
+    fields are cubics in the label.  There x = x(x0) turns R dx into
+    rho0 * exp(-a_int) * |dx/dx0| / |J| dx0, which Gauss-Legendre rules of
+    GAUSS_POINTS and of twice as many points integrate.
 
     Raises DensityError when the refined rule's error estimate exceeds
-    1e-5 * max(1, initial mass), or when the x-space mass misses the
-    label-space mass of the unabsorbed labels (every interval taken in
-    label space) by more than that.
+    1e-5 * max(1, initial mass), or when that mass misses the label integral
+    of rho0 * exp(-a_int), which does not see J, by more than that.
     """
     fan = gd.fan
     i_t = fan.index_of_time(t)
     curve = gd.curve_at(t)
-    X_l = float(fan.x[i_t, 0])
-    X_r = float(fan.x[i_t, -1])
+    X_l, X_r = float(fan.x[i_t, 0]), float(fan.x[i_t, -1])
     masses = gd.shock_masses(t)
     cuts = [x for x, _ in masses if X_l < x < X_r]
     inner = curve.x[(curve.x > X_l) & (curve.x < X_r)]
     knots = np.unique(np.concatenate(([X_l, X_r], cuts, inner)))
-    lo, hi = knots[:-1], knots[1:]
-    m = lo.size
-    coarse, w_c = _gauss(lo, hi, GAUSS_POINTS)
-    fine, w_f = _gauss(lo, hi, 2 * GAUSS_POINTS)
-    f = gd.fields(t, np.concatenate((coarse.ravel(), fine.ravel())),
-                  skip_folds=True)
-    n_c = coarse.size
-    q_c = np.sum(f["R"][:n_c].reshape(coarse.shape) * w_c, axis=1)
-    q_f = np.sum(f["R"][n_c:].reshape(fine.shape) * w_f, axis=1)
-    # the knots hold every row, so each interval lies inside one row
-    # interval of the branch essential on it; its first refined node names
-    # both
-    head = slice(n_c, None, 2 * GAUSS_POINTS)
-    bid = f["branch_id"][head]
-    r = np.clip(np.searchsorted(fan.x0, f["x0"][head], side="right") - 1,
-                0, fan.x0.size - 2)
-    cusp = _cusp_intervals(curve.J)[r]
-    # the labels at both ends of each interval on that branch
-    ends = np.empty((m, 2))
-    sign = np.empty(m)
+    ends = np.column_stack((knots[:-1], 0.5 * (knots[:-1] + knots[1:]),
+                            knots[1:]))
+    bid = manifold.essential(curve, ends[:, 1]).branch_id
+    parts = np.empty((3, bid.size))  # x-space by both rules, label-space
     for b in curve.branches:
         sel = bid == b.index
-        if np.any(sel):
-            ends[sel] = b.interp("x0", np.clip(np.column_stack(
-                (lo[sel], hi[sel])), b.x_lo, b.x_hi))
-            sign[sel] = b.sign
-    G = _label_mass(gd.rho0, fan.x0, curve.a_int, ends.ravel()).reshape(m, 2)
-    label = sign * (G[:, 1] - G[:, 0])
-    total = float(np.sum(np.where(cusp, label, q_f)))
-    label_total = float(np.sum(label))
-    err = float(np.sum(np.abs(q_f - q_c)[~cusp]))
+        if not np.any(sel):
+            continue
+        k, s = b.locate(np.clip(ends[sel], b.x_lo, b.x_hi))
+        lab = np.sort(b.at(k, s)[1][:, ::2], axis=1)
+        k = k[:, 1:2]  # the row interval of the midpoint
+        h = fan.x0[k + 1] - fan.x0[k]
+        for j, n in enumerate((GAUSS_POINTS, 2 * GAUSS_POINTS)):
+            nodes, w = _gauss(lab[:, 0], lab[:, 1], n)
+            H, _, dx = b.at(k, (nodes - fan.x0[k]) / h)
+            dm = expr.evaluate_at(gd.rho0, nodes) * np.exp(-H[4]) * w
+            parts[j, sel] = np.sum(dm * np.abs(dx / H[3]), axis=1)
+        parts[2, sel] = np.sum(dm, axis=1)
+    total, label_total = (float(v) for v in np.sum(parts[1:], axis=1))
+    err = float(np.sum(np.abs(parts[1] - parts[0])))
     shock_total = sum(e for _, e in masses)
     init = gd.initial_mass
     tol = 1e-5 * max(1.0, abs(init))

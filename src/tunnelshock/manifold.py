@@ -3,15 +3,15 @@
 A time slice of a fan is a curve (x(x0), p(x0), S(x0), ...).  Where the
 projected Jacobian J keeps one sign the projection is invertible and the
 slice decomposes into monotone branches; the essential action at x is the
-branchwise minimum.  Folds (J = 0) seed equal-action shock paths tracked by
-bracketed root solves between the adjacent essential branches.
+branchwise minimum.  Every field is smooth in the label x0, also across a
+fold where it is not in x, so a branch interpolates in x0 and inverts
+x(x0) for a query at x.  Folds (J = 0) seed equal-action shock paths
+tracked by bracketed Newton solves between the adjacent essential branches.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from . import characteristics, symbol
 
@@ -33,8 +33,24 @@ class AdmissibilityError(ManifoldError):
     pass
 
 
-# columns of a branch interpolant, in order
-_CURVE_FIELDS = ("S", "p", "J", "a_int", "x0")
+# rows of `Branch.values`, in order: the label, then the fields the branch
+# interpolates in it
+_CURVE_FIELDS = ("x0", "S", "p", "J", "a_int")
+
+
+def _label_stencil(x0):
+    """Rows and weights, each of shape (m, n), of d/dx0 at every label: the
+    derivative of the polynomial through m = 5 consecutive rows (fewer on
+    a shorter curve), centred where they fit and one-sided at the ends, so
+    fourth order on any increasing labels."""
+    m = min(5, x0.size)
+    idx = np.clip(np.arange(x0.size) - m // 2, 0, x0.size - m)
+    idx = idx + np.arange(m)[:, None]
+    z = (x0[idx] - x0).T  # stencil offsets from the row
+    # weights that differentiate every polynomial of degree < m exactly
+    V = np.swapaxes(z[..., None] ** np.arange(m), 1, 2)
+    e1 = np.broadcast_to(np.arange(m) == 1, z.shape)[..., None]
+    return idx, np.linalg.solve(V, 1.0 * e1)[..., 0].T.copy()
 
 
 @dataclass
@@ -44,38 +60,68 @@ class Branch:
     sign: float            # sign of J on the branch
     x_lo: float
     x_hi: float
-    # the parent curve's x and _CURVE_FIELDS arrays; holding them rather than
-    # the curve keeps curve and branches free of a reference cycle, so a
-    # dense slice is freed as soon as its last user drops it
+    # the parent curve's labels, its rows (x, S, p, J, a_int) and their label
+    # slopes; holding them rather than the curve keeps curve and branches
+    # free of a reference cycle, so a dense slice is freed with its last user
     data: tuple = field(repr=False)
-    _fn: object = field(default=None, repr=False)
 
     def covers(self, x):
         return (x >= self.x_lo) & (x <= self.x_hi)
 
+    def at(self, k, s):
+        """(x, S, p, J, a_int) on a first axis, the label and dx/dx0 at
+        fraction s of row interval k: cubic Hermites in x0 between the rows,
+        with the slopes of `_decompose`."""
+        x0, Y, D = self.data
+        a, b = x0[k], x0[k + 1]
+        ya, yb, fa, fb = (A.take(i, 1) for A in (Y, D) for i in (k, k + 1))
+        H = characteristics._cubic_hermite(s, b - a, ya, yb, fa, fb)
+        dx = (6 * s * (1 - s) * (yb[0] - ya[0]) / (b - a)
+              + (1 - s) * (1 - 3 * s) * fa[0] + s * (3 * s - 2) * fb[0])
+        return H, (1 - s) * a + s * b, dx
+
+    def locate(self, x):
+        """Row interval k and fraction s of the label whose image is x.
+
+        Newton's method on the branch's monotone x(x0), kept inside the row
+        interval that brackets x by bisection.  A row's own x gives s = 0
+        (1 at the last row) exactly; s is NaN outside [x_lo, x_hi]."""
+        x0, Y, D = self.data
+        q = self.sign * np.asarray(x, dtype=float)
+        xs = self.sign * Y[0, self.rows]  # increasing
+        inside = (q >= xs[0]) & (q <= xs[-1])
+        q = np.where(inside, q, xs[0])
+        k = self.rows.start + np.minimum(
+            np.searchsorted(xs, q, side="right") - 1, xs.size - 2)
+        # sign * x - q on the row interval, a cubic c0 + ... + c3 s^3
+        ya, yb = self.sign * Y[0, k], self.sign * Y[0, k + 1]
+        h = self.sign * (x0[k + 1] - x0[k])
+        c0, c1, fb, d = ya - q, h * D[0, k], h * D[0, k + 1], yb - ya
+        c2 = 3 * d - 2 * c1 - fb
+        c3 = d - c1 - c2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # start from the Hermite of the inverse (reciprocal end slopes)
+            r = -c0 / d
+            s = np.minimum(np.maximum(r + r * (1 - r) * (
+                (1 - r) * (d / c1 - 1) - r * (d / fb - 1)), 0.0), 1.0)
+            lo, hi = 0.0, 1.0
+            for _ in range(60):
+                F = ((c3 * s + c2) * s + c1) * s + c0
+                hi = np.where(F > 0, s, hi)
+                lo = np.where(F < 0, s, lo)
+                new = s - F / ((3 * c3 * s + 2 * c2) * s + c1)
+                new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+                step, s = np.abs(new - s).max(), new
+                if step <= 1e-15:
+                    break
+        return k, np.where(inside, np.where(q == yb, 1.0, s), np.nan)
+
     def values(self, x):
-        """Monotone piecewise-cubic interpolation of every curve field over x.
-
-        One multi-column interpolant per branch; the last axis of the result
-        follows _CURVE_FIELDS.  PCHIP slopes are taken column by column, so
-        each column equals a single-field build bit for bit.
-        """
-        if self._fn is None:
-            xs, *cols = (a[self.rows] for a in self.data)
-            vals = np.stack(cols, axis=-1)
-            if xs[0] > xs[-1]:
-                xs, vals = xs[::-1], vals[::-1]
-            if xs.size >= 2:
-                self._fn = PchipInterpolator(xs, vals, axis=0,
-                                             extrapolate=False)
-            else:  # degenerate stump; constant
-                c = vals[0]
-                self._fn = lambda q: np.tile(c, np.shape(q) + (1,))
-        return self._fn(x)
-
-    def interp(self, name, x):
-        """One curve field at x (see `values`)."""
-        return self.values(x)[..., _CURVE_FIELDS.index(name)]
+        """Every curve field at the points x, on a first axis that follows
+        _CURVE_FIELDS; a point outside [x_lo, x_hi] gives NaN."""
+        H, lab, _ = self.at(*self.locate(x))
+        H[0] = lab
+        return H
 
 
 @dataclass
@@ -95,16 +141,13 @@ class LagrangianCurve:
     p: np.ndarray
     S: np.ndarray
     J: np.ndarray
+    dp: np.ndarray
     a_int: np.ndarray
     branches: list = field(default_factory=list)
     folds: list = field(default_factory=list)
 
-    def branch_pairs_around(self, x):
-        """Branches covering x, ordered by branch index."""
-        return [b for b in self.branches if b.x_lo <= x <= b.x_hi]
 
-
-def _decompose(curve):
+def _decompose(curve, stencil=None):
     J = curve.J
     x = curve.x
     signs = np.sign(J)
@@ -116,13 +159,19 @@ def _decompose(curve):
     starts = np.flatnonzero(np.concatenate(([True], ~cont)))
     stops = np.append(starts[1:], J.size)
     keep = (stops - starts >= 2) & (signs[starts] != 0)  # at least 2 samples
-    data = (x,) + tuple(getattr(curve, name) for name in _CURVE_FIELDS)
+    # label slopes: exact from the fan where it carries them (dx = J dx0,
+    # dS = p dx, and dp), fourth-order differences for J and a_int
+    idx, w = _label_stencil(curve.x0) if stencil is None else stencil
+    Y = np.stack((x, curve.S, curve.p, J, curve.a_int))
+    D = np.vstack((J, curve.p * J, curve.dp,
+                   np.einsum("jn,kjn->kn", w, Y[3:].take(idx, axis=1))))
     branches = []
     for i, j in zip(starts[keep].tolist(), (stops[keep] - 1).tolist()):
         branches.append(Branch(index=len(branches), rows=slice(i, j + 1),
                                sign=float(signs[i]),
                                x_lo=float(min(x[i], x[j])),
-                               x_hi=float(max(x[i], x[j])), data=data))
+                               x_hi=float(max(x[i], x[j])),
+                               data=(curve.x0, Y, D)))
     # fold points: sign changes between adjacent samples
     k = np.flatnonzero((s0 != 0) & (s1 != 0) & (s0 != s1))
     w = J[k] / (J[k] - J[k + 1])
@@ -140,8 +189,11 @@ def _decompose(curve):
 def _curve_from_state(fan, t, state):
     curve = LagrangianCurve(
         t=float(t), symbol=fan.symbol, x0=fan.x0, x=state["x"], p=state["p"],
-        S=state["S"], J=state["J"], a_int=state["a_int"])
-    return _decompose(curve)
+        S=state["S"], J=state["J"], dp=state["dp"], a_int=state["a_int"])
+    # every slice of a fan shares its labels, so the stencil is cached
+    if getattr(fan, "_label_stencil", None) is None:
+        fan._label_stencil = _label_stencil(fan.x0)
+    return _decompose(curve, fan._label_stencil)
 
 
 def slice_fan(fan, t):
@@ -181,16 +233,16 @@ def essential(curve, x_grid):
     """Branchwise minimal action over x_grid with deterministic tie rules."""
     x = np.asarray(x_grid, dtype=float)
     best = np.full((len(_CURVE_FIELDS),) + x.shape, np.nan)  # field rows
-    best[0] = np.inf
+    best[1] = np.inf
     best_b = np.full(x.shape, -1, dtype=int)
     for b in curve.branches:
         mask = b.covers(x)
         if not np.any(mask):
             continue
-        vals = b.values(x[mask]).T
-        S_b, p_b = vals[0], vals[1]
-        cur_S = best[0, mask]
-        cur_p = best[1, mask]
+        vals = b.values(x[mask])
+        S_b, p_b = vals[1], vals[2]
+        cur_S = best[1, mask]
+        cur_p = best[2, mask]
         tol = TIE_TOL * (1.0 + np.abs(S_b))
         better = S_b < cur_S - tol
         tie = np.abs(S_b - cur_S) <= tol
@@ -203,7 +255,7 @@ def essential(curve, x_grid):
     missing = best_b < 0
     if np.any(missing):
         raise UncoveredPointError(x[missing])
-    S, p, J, a_int, x0 = best
+    x0, S, p, J, a_int = best
     u = symbol.eval_dP_dp(curve.symbol, x, p)
     return EssentialSolution(t=curve.t, x=x, S=S, p=p,
                              u=np.asarray(u, dtype=float) + np.zeros_like(x),
@@ -351,52 +403,58 @@ class ShockRecord:
         return out
 
 
-def _essential_branch_near(curve, x, side, w):
-    """Branch with minimal action at x -/+ w (the one-sided essential branch)."""
-    probe = x - w if side == "l" else x + w
-    cands = curve.branch_pairs_around(probe)
-    if not cands:
-        # fall back to nearest covering branch edge
-        cands = sorted(curve.branches,
-                       key=lambda b: min(abs(b.x_lo - probe), abs(b.x_hi - probe)))[:1]
-        if not cands:
-            raise ManifoldError(f"no branches near x={probe:g} at t={curve.t:g}")
-        return cands[0]
-    vals = [float(b.interp("S", probe)) for b in cands]
-    return cands[int(np.argmin(vals))]
+def _essential_branches_near(curve, x, w):
+    """Branches with minimal action at x - w and at x + w (the one-sided
+    essential branches); where no branch covers a point, the branch whose
+    end is nearest to it.  Each branch is queried once, at both points."""
+    if not curve.branches:
+        raise ManifoldError(f"no branches near x={x:g} at t={curve.t:g}")
+    probes = np.array([x - w, x + w])
+    cands = [[b for b in curve.branches if b.x_lo <= p <= b.x_hi]
+             or [min(curve.branches, key=lambda b: min(abs(b.x_lo - p),
+                                                       abs(b.x_hi - p)))]
+             for p in probes]
+    need = {b.index: b for c in cands if len(c) > 1 for b in c}
+    S = {i: b.values(probes)[1] for i, b in need.items()}
+    return tuple(c[0] if len(c) == 1 else min(c, key=lambda b: S[b.index][j])
+                 for j, c in enumerate(cands))
 
 
 def _equal_action_root(curve, x_guess, w0):
-    """Solve S_left(x) = S_right(x) near x_guess; None if no transversal root."""
+    """Solve S_left(x) = S_right(x) near x_guess; None if no transversal root.
+
+    Newton's method from x_guess, kept inside the bracket by bisection; the
+    slope of S_left - S_right is exactly p_left - p_right.  Returns the root,
+    both branches and their `values` rows there."""
+    if not curve.branches:
+        return None
     for w in (w0, 2 * w0, 4 * w0, 8 * w0):
-        try:
-            bl = _essential_branch_near(curve, x_guess, "l", w)
-            br = _essential_branch_near(curve, x_guess, "r", w)
-        except ManifoldError:
-            continue
+        bl, br = _essential_branches_near(curve, x_guess, w)
         if bl.index == br.index:
             continue
-        lo = max(bl.x_lo, br.x_lo)
-        hi = min(bl.x_hi, br.x_hi)
+        lo, hi = max(bl.x_lo, br.x_lo), min(bl.x_hi, br.x_hi)
         if not (lo < hi):
             continue
         pad = 1e-12 * (1 + abs(hi - lo))
         lo, hi = lo + pad, hi - pad
-
-        def g(x):
-            return float(bl.interp("S", x) - br.interp("S", x))
-
-        glo, ghi = g(lo), g(hi)
-        if not np.isfinite(glo) or not np.isfinite(ghi):
+        xs = np.array([lo, hi, min(max(x_guess, lo), hi)])
+        vl, vr = bl.values(xs), br.values(xs)
+        g = vl[1] - vr[1]
+        if not np.all(np.isfinite(g[:2])) or g[0] * g[1] > 0:
             continue
-        if glo == 0.0:
-            return lo, bl, br
-        if ghi == 0.0:
-            return hi, bl, br
-        if glo * ghi > 0:
-            continue
-        root = brentq(g, lo, hi, xtol=1e-13, rtol=1e-14)
-        return float(root), bl, br
+        j = 2 if g[0] * g[1] else int(g[1] == 0.0)  # an end can be the root
+        x, l, r = float(xs[j]), vl[:, j], vr[:, j]
+        while l[1] != r[1]:
+            lo, hi = (x, hi) if (l[1] > r[1]) == (g[0] > 0) else (lo, x)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                new = x - (l[1] - r[1]) / (l[2] - r[2])
+            if not lo < new < hi:
+                new = 0.5 * (lo + hi)
+            if abs(new - x) <= 1e-14 * (1 + abs(x)):
+                break
+            x = float(new)
+            l, r = bl.values(x), br.values(x)
+        return x, bl, br, l, r
     return None
 
 
@@ -409,10 +467,6 @@ def _fold_midpoint(curve, x_guess):
         a, b = xs[order[0]], xs[order[1]]
         return 0.5 * (a + b)
     return float(xs[order[0]])
-
-
-def _one_sided(branch, x):
-    return {name: float(v) for name, v in zip(_CURVE_FIELDS, branch.values(x))}
 
 
 class _Tracker:
@@ -432,10 +486,8 @@ class _Tracker:
         w0 = 3 * np.median(np.abs(np.diff(curve.x))) + 1e-9
         hit = _equal_action_root(curve, self.x_prev, w0)
         if hit is not None:
-            x_s, bl, br = hit
-            sl = _one_sided(bl, x_s)
-            sr = _one_sided(br, x_s)
-            if abs(sl["p"] - sr["p"]) > 1e-8 * (1 + abs(sl["p"])):
+            x_s, bl, br, *rows = hit
+            if abs(rows[0][2] - rows[1][2]) > 1e-8 * (1 + abs(rows[0][2])):
                 self.root_mode = True
         if hit is None or (not self.root_mode):
             x_mid = _fold_midpoint(curve, self.x_prev)
@@ -451,10 +503,9 @@ class _Tracker:
                     return False
                 x_mid = x_s  # keep the (degenerate) root
             x_s = x_mid
-            bl = _essential_branch_near(curve, x_s, "l", w0)
-            br = _essential_branch_near(curve, x_s, "r", w0)
-            sl = _one_sided(bl, np.clip(x_s, bl.x_lo, bl.x_hi))
-            sr = _one_sided(br, np.clip(x_s, br.x_lo, br.x_hi))
+            bl, br = _essential_branches_near(curve, x_s, w0)
+            rows = [b.values(np.clip(x_s, b.x_lo, b.x_hi)) for b in (bl, br)]
+        sl, sr = (dict(zip(_CURVE_FIELDS, v.tolist())) for v in rows)
         u_l = float(symbol.eval_dP_dp(m, x_s, sl["p"]))
         u_r = float(symbol.eval_dP_dp(m, x_s, sr["p"]))
         self.samples.append(dict(t=curve.t, x_s=x_s, p_l=sl["p"], p_r=sr["p"],

@@ -89,7 +89,7 @@ def test_essential_post_fold_picks_minimum(tanh_fan):
     brute = np.full_like(xq, np.inf)
     for b in curve.branches:
         mask = b.covers(xq)
-        brute[mask] = np.minimum(brute[mask], b.interp("S", xq[mask]))
+        brute[mask] = np.minimum(brute[mask], b.values(xq[mask])[1])
     assert np.allclose(ess.S, brute, atol=1e-12)
     # odd data make the action even and the velocity odd with a jump at 0
     mid = np.searchsorted(xq, 0.0)
@@ -149,6 +149,31 @@ def test_moving_shock_galilean(drift_fan):
     # jump quotient of the flux equals the path speed
     dev = manifold.check_speed_consistency(rec, drift_fan.symbol)
     assert dev < 1e-4
+
+
+@pytest.mark.parametrize("t", [1.2, 1.5])
+def test_equal_action_root_closes_the_action_gap(drift_fan, t):
+    # Newton on S_l - S_r with the exact slope p_l - p_r: the returned rows
+    # are the branches' values at the root, their actions agree, and a
+    # plain bisection of the same gap finds the same point
+    curve = manifold.slice_fan(drift_fan, t)
+    x, bl, br, row_l, row_r = manifold._equal_action_root(
+        curve, 0.5 * t + 0.02, 0.01)
+    assert bl.index != br.index
+    np.testing.assert_allclose(row_l, bl.values(x), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(row_r, br.values(x), rtol=0, atol=1e-14)
+    assert abs(row_l[1] - row_r[1]) <= 1e-13
+    assert row_l[2] > row_r[2]  # the momentum jumps down across the shock
+    lo, hi = max(bl.x_lo, br.x_lo) + 1e-9, min(bl.x_hi, br.x_hi) - 1e-9
+    g_lo = bl.values(lo)[1] - br.values(lo)[1]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if (bl.values(mid)[1] - br.values(mid)[1] > 0) == (g_lo > 0):
+            lo = mid
+        else:
+            hi = mid
+    assert abs(x - 0.5 * (lo + hi)) <= 1e-12
+    assert abs(x - 0.5 * t) < 1e-6
 
 
 def test_shock_action_continuity(tanh_fan):
@@ -213,51 +238,58 @@ def test_shock_tracking_deterministic(tanh_fan):
 
 
 # ---------------------------------------------------------------------------
-# slice layer: multi-column interpolants and the vectorized decomposition
+# slice layer: label-space interpolants and the vectorized decomposition
 
 
-def _one_branch(x, cols):
-    """A branch over all of x carrying the _CURVE_FIELDS columns cols."""
-    return manifold.Branch(index=0, rows=slice(0, x.size), sign=1.0,
-                           x_lo=float(np.min(x)), x_hi=float(np.max(x)),
-                           data=(x,) + tuple(cols))
+def _label_curve(n, sign):
+    """One-branch slice of a closed-form Burgers fan at t = 0.5 on n
+    non-uniform labels; sign = -1 mirrors x (and p) into a decreasing
+    branch.  Returns the curve and the exact x and _CURVE_FIELDS as
+    functions of the label."""
+    t = 0.5
+    u = np.linspace(-1.0, 1.0, n)
+    x0 = u + 0.15 * np.sin(3 * u)
+
+    def exact(y):
+        v, dv = 0.3 * np.sin(2 * y), 0.6 * np.cos(2 * y)
+        return (sign * (y + t * v), y, -0.15 * np.cos(2 * y) + t * v * v / 2,
+                sign * v, sign * (1 + t * dv), t * np.cos(y))
+
+    x, _, S, p, J, a_int = exact(x0)
+    curve = manifold._decompose(manifold.LagrangianCurve(
+        t=t, symbol=None, x0=x0, x=x, p=p, S=S, J=J,
+        dp=sign * 0.6 * np.cos(2 * x0), a_int=a_int))
+    assert [b.sign for b in curve.branches] == [sign]
+    return curve, exact
 
 
-@pytest.mark.parametrize("order", ["increasing", "reversed"])
-def test_multi_column_pchip_matches_per_column(order):
-    # PCHIP slopes are column-local, so one stacked build must reproduce
-    # single-field builds bit for bit
-    from scipy.interpolate import PchipInterpolator
-    rng = np.random.default_rng(17)
-    for n in (2, 3, 5, 40, 801):
-        x = np.cumsum(rng.uniform(1e-3, 1.0, n))
-        cols = [rng.normal(size=n) for _ in manifold._CURVE_FIELDS]
-        cols[0] = np.cumsum(np.abs(cols[0]))  # one monotone column
-        if order == "reversed":
-            x, cols = x[::-1], [c[::-1] for c in cols]
-        b = _one_branch(x, cols)
-        q = np.concatenate([rng.uniform(b.x_lo - 0.5, b.x_hi + 0.5, 300),
-                            x, [b.x_lo, b.x_hi]])
-        vals = b.values(q)
-        assert vals.shape == (q.size, len(manifold._CURVE_FIELDS))
-        xs = x if order == "increasing" else x[::-1]
-        for k, name in enumerate(manifold._CURVE_FIELDS):
-            c = cols[k] if order == "increasing" else cols[k][::-1]
-            ref = PchipInterpolator(xs, c, extrapolate=False)(q)
-            assert np.array_equal(vals[:, k], ref, equal_nan=True)
-            assert np.array_equal(b.interp(name, q), ref, equal_nan=True)
-            assert b.interp(name, float(x[1])) == ref[300 + 1]
-
-
-def test_single_sample_branch_is_constant():
-    cols = [np.array([v]) for v in (0.5, -1.0, 2.0, 0.25, 3.0)]
-    b = _one_branch(np.array([1.0]), cols)
-    q = np.array([-5.0, 1.0, 7.0])
-    vals = b.values(q)
-    assert vals.shape == (3, 5)
-    assert np.array_equal(vals, np.tile([0.5, -1.0, 2.0, 0.25, 3.0], (3, 1)))
-    assert np.array_equal(b.values(2.0), [0.5, -1.0, 2.0, 0.25, 3.0])
-    assert b.interp("J", 2.0) == 2.0
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_label_interpolant(sign):
+    curve, exact = _label_curve(81, sign)
+    b = curve.branches[0]
+    # a query at a row returns the stored row bit for bit
+    rows = np.stack([getattr(curve, f) for f in manifold._CURVE_FIELDS])
+    assert np.array_equal(b.values(curve.x), rows)
+    assert np.array_equal(b.values(curve.x[7]), rows[:, 7])
+    # x(x0(x)) round-trips through the inversion
+    q = np.random.default_rng(3).uniform(b.x_lo, b.x_hi, 500)
+    H, lab, _ = b.at(*b.locate(q))
+    assert np.all(np.abs(H[0] - q) <= 1e-13 * (1 + np.abs(q)))
+    assert np.array_equal(b.values(q)[0], lab)
+    # outside [x_lo, x_hi] every field is NaN
+    out = b.values(np.array([b.x_lo - 1e-9, b.x_hi + 1e-9, np.nan]))
+    assert np.all(np.isnan(out))
+    # the slope rule (exact slopes for x, S and p, fourth-order label
+    # differences for J and a_int) keeps every field fourth order on
+    # non-uniform labels: query the exact image of each row midpoint
+    errs = []
+    for n in (41, 81):
+        curve, exact = _label_curve(n, sign)
+        mid = 0.5 * (curve.x0[:-1] + curve.x0[1:])
+        x, *fields = exact(mid)
+        got = curve.branches[0].values(x)
+        errs.append(np.max(np.abs(got - np.stack(fields)), axis=1))
+    assert np.all(np.log2(errs[0] / errs[1]) > 3.5), errs
 
 
 def _decompose_loop(J, x, x0):
@@ -324,7 +356,8 @@ def test_vectorized_decompose_matches_loop():
         x0 = np.linspace(-1.0, 1.0, J.size)
         curve = manifold.LagrangianCurve(
             t=0.0, symbol=None, x0=x0, x=x, p=np.zeros_like(x),
-            S=np.zeros_like(x), J=J, a_int=np.zeros_like(x))
+            S=np.zeros_like(x), J=J, dp=np.zeros_like(x),
+            a_int=np.zeros_like(x))
         manifold._decompose(curve)
         branches, folds = _decompose_loop(J, x, x0)
         got = [(b.rows, b.sign, b.x_lo, b.x_hi) for b in curve.branches]
