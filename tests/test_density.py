@@ -179,15 +179,35 @@ def test_mass_balance_matches_knotwise_quad():
     assert abs(reg - ref) < 1e-12 * init
 
 
-def test_pipeline_runs_without_scipy(tmp_path):
-    # a fresh interpreter where importing scipy fails runs evolve, the
-    # whole slice/density pipeline, and loads no scipy module
+def _fresh_import_check(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this checkout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         tunnelshock.__file__)))
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_leaves_scipy_integrate_out():
+    # cli imports the whole pipeline
+    _fresh_import_check("import tunnelshock.cli, sys; "
+                        "assert 'scipy.integrate' not in sys.modules")
+
+
+def test_expression_layer_imports_no_scipy():
+    # the package imports no submodule, so expr and symbol come alone
+    _fresh_import_check(
+        "import sys; from tunnelshock import expr, symbol; "
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
+
+
+def test_pipeline_runs_without_scipy(tmp_path):
+    # a fresh interpreter where importing scipy fails runs evolve, the
+    # whole slice/density pipeline, and loads no scipy module
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     code = (
         "import sys; sys.modules['scipy'] = None\n"
         "from tunnelshock import cli\n"
@@ -196,11 +216,9 @@ def test_pipeline_runs_without_scipy(tmp_path):
         "assert code == 0, code\n"
         "assert not [m for m, v in sys.modules.items() "
         "if m.split('.')[0] == 'scipy' and v is not None]\n")
-    proc = subprocess.run(
-        [sys.executable, "-c", code,
-         os.path.join(root, "scenarios", "steep_front.ini"), str(tmp_path)],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
+    _fresh_import_check(
+        code, os.path.join(root, "scenarios", "steep_front.ini"),
+        str(tmp_path))
     assert (tmp_path / "density.csv").is_file()
 
 
