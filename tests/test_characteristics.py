@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from tunnelshock import characteristics as ch
+from tunnelshock.textio import write_csv
 from tunnelshock.symbol import make_symbol
 
 
@@ -90,8 +93,60 @@ def test_jacobian_check_needs_rows():
 
 def test_step_doubling_rejects_coarse_step():
     stiff = make_symbol(A="0.5", V="20*cos(10*x)")
-    with pytest.raises(ch.StepSizeError):
+    msg = "local error 5.455e+00 exceeds 1.0e-08 at t=0; reduce h_t"
+    with pytest.raises(ch.StepSizeError, match=re.escape(msg)):
         ch.integrate_fan(stiff, "-x^2/2", np.linspace(-1, 1, 5), T=1.0, h_t=0.25)
+
+
+def _old_rk4_step(rhs, y, h):
+    # the step before the state became one array, on {field: row} dicts
+    def f_of(y):
+        return dict(zip(ch._FIELDS, rhs(np.stack([y[f] for f in ch._FIELDS]))))
+
+    k1 = f_of(y)
+    y2 = {f: y[f] + 0.5 * h * k1[f] for f in y}
+    k2 = f_of(y2)
+    y3 = {f: y[f] + 0.5 * h * k2[f] for f in y}
+    k3 = f_of(y3)
+    y4 = {f: y[f] + h * k3[f] for f in y}
+    k4 = f_of(y4)
+    return {f: y[f] + (h / 6.0) * (k1[f] + 2 * k2[f] + 2 * k3[f] + k4[f])
+            for f in y}
+
+
+def test_monitored_step_is_full_half_half_in_8_rhs_calls():
+    # x-dependent diffusion, potential and jump rate: every RHS term is live
+    m = make_symbol(A="0.3*(1+0.2*sin(x))", V="0.5*x^2",
+                    jumps=[(1.0, "1+0.5*cos(x)"), (-0.5, "0.7")])
+    fan = ch.integrate_fan(m, "log(sech(x))", np.linspace(-1.5, 1.5, 13),
+                           T=0.1, h_t=0.01)
+    y = np.stack([getattr(fan, f)[-1] for f in ch._FIELDS])
+    h, n = 0.01, y.shape[1]
+    calls, base = [], ch.hamiltonian_rhs(m)
+
+    def rhs(y):
+        calls.append(y.shape)
+        return base(y)
+
+    full = ch.rk4_step(rhs, y, h)
+    half = ch.rk4_step(rhs, y, 0.5 * h)
+    two = ch.rk4_step(rhs, half, 0.5 * h)
+    assert len(calls) == 12
+    # the array step does per field what the dict-per-field step did
+    old = _old_rk4_step(rhs, dict(zip(ch._FIELDS, y)), h)
+    assert np.array_equal(np.stack([old[f] for f in ch._FIELDS]), full)
+    # the packed step: full and first half step side by side, one k1
+    k1 = rhs(y)
+    # the RHS's transport row is damping() to the bit, signed zeros included
+    assert k1[5].tobytes() == ch.damping(m, y[0], y[1]).tobytes()
+    both = ch.rk4_step(rhs, np.hstack((y, y)), np.repeat((h, 0.5 * h), n),
+                       np.hstack((k1, k1)))
+    assert np.array_equal(both, np.hstack((full, half)))
+    calls.clear()
+    out = ch.monitored_step(rhs, 0.1, y, h)
+    assert np.array_equal(out, two)
+    assert calls == [(6, n)] + [(6, 2 * n)] * 3 + [(6, n)] * 4
+    assert not np.array_equal(full, two)  # the error estimate is not void
 
 
 def test_dense_output_matches_closed_form():
@@ -138,6 +193,28 @@ def test_fan_csv_dump(tmp_path):
     assert len(lines) == 1 + 3 * 3
     val = float(lines[1].split(",")[1])
     assert val == -1.0
+
+
+@pytest.mark.parametrize("n_t, n", [(3, 4), (1, 4), (3, 1), (1, 1)])
+def test_fan_csv_matches_write_csv(tmp_path, n_t, n):
+    # signed zeros, exponent forms and integer-valued floats in every column
+    x0 = np.array([-1.5, -0.0, 1e-5, 7.0])[:n]
+    times = np.array([-0.0, 1e-5, 2.0])[:n_t]
+    pool = np.array([-0.0, 0.0, 1e-5, 1e17, -3.0, 2.0, 0.1, -1 / 3, 6e-300])
+    cols = {f: np.resize(np.roll(pool, -2 * k), (n_t, n))
+            for k, f in enumerate(ch._FIELDS)}
+    fan = ch.Fan(symbol=None, x0=x0, times=times, h_t=0.5, **cols)
+    ch.fan_to_csv(fan, tmp_path / "fan.csv")
+    rows = [(t, x0[j]) + tuple(cols[f][i, j]
+                               for f in ("x", "p", "S", "J", "a_int"))
+            for i, t in enumerate(times) for j in range(n)]
+    write_csv(tmp_path / "ref.csv", ("t", "x0", "x", "p", "S", "J", "a_int"),
+              rows)
+    got = (tmp_path / "fan.csv").read_bytes()
+    assert got == (tmp_path / "ref.csv").read_bytes()
+    assert got.splitlines()[1] == (
+        b"-0,-1.5,-0,1.0000000000000001e-05,-3,0.10000000000000001,0")
+    assert (b"1e+17" in got) == (n_t * n > 1)
 
 
 def _old_state_at_blend(s, h, ya, yb, fa, fb):

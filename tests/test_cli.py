@@ -91,7 +91,7 @@ def test_evolve_rows_stay_in_the_label_window(tmp_path, monkeypatch):
         return fans[-1]
 
     monkeypatch.setattr(cli, "_build_fan", build)
-    # fan.csv is not under test and takes a third of the run
+    # fan.csv is not under test, and writing it takes about 40% of the run
     monkeypatch.setattr(cli.characteristics, "fan_to_csv",
                         lambda fan, path: None)
     out = tmp_path / "run"
