@@ -20,6 +20,10 @@ import numpy as np
 from . import expr, symbol
 
 EXP_CLIP = 700.0  # exponent guard when rescaling lattice values by e^{S/h}
+# velocities per Legendre solve of hopf_lax_grid (16 rows of 2001): larger
+# blocks gained less than the run-to-run noise, while peak memory grows with
+# the block (all 241 rows of the CLI grid at once: 125 MB against 37 MB)
+_BLOCK_VELOCITIES = 1 << 15
 
 
 class OracleError(ValueError):
@@ -51,49 +55,61 @@ def _field_values(data, xs):
 
 
 def hopf_lax(m, S0, x, t, y_box=(-30.0, 30.0), n=2001):
-    """Minimum of S0(y) + t*L((x-y)/t) by grid search with one refinement.
+    """Minimum of S0(y) + t*L((x-y)/t) at one point; see hopf_lax_grid."""
+    return float(hopf_lax_grid(m, S0, [x], t, y_box=y_box, n=n)[0])
+
+
+def hopf_lax_grid(m, S0, xs, t, y_box=(-30.0, 30.0), n=2001):
+    """Minimum of S0(y) + t*L((x-y)/t) for each x, by grid search with one
+    refinement.
 
     L is the box-restricted convex conjugate of the symbol, so unreachable
     slopes carry the affine edge penalty and never win the minimum.  The
     refined minimum is polished with a three-point parabola vertex.  A
     minimizer on the y-box edge raises: the box is too small for (x, t).
+    A block of x rows shares each Legendre solve.
     """
     if not m.spatially_homogeneous:
         raise OracleError("variational minimizer needs an x-independent symbol")
     if not t > 0.0:
         raise OracleError("t must be positive")
     S0 = expr.as_expression(S0, ("x",))
-    x = float(x)
+    xs = np.asarray(xs, dtype=float)
     t = float(t)
 
-    def total(ys):
+    def total(x, ys):
         _, L = symbol.legendre_clamped(m, 0.0, (x - ys) / t)
         return expr.evaluate_at(S0, ys) + t * L
 
     ys = np.linspace(y_box[0], y_box[1], n)
-    vals = total(ys)
-    k = int(np.argmin(vals))
-    if k == 0 or k == n - 1:
-        raise OracleError(
-            f"action minimizer for x={x:g}, t={t:g} sits on the y-box edge; "
-            "enlarge y_box")
+    rows = max(1, _BLOCK_VELOCITIES // n)
+    out = np.empty(xs.shape)
+    for b in range(0, xs.size, rows):
+        x = xs[b:b + rows, None]
+        k = np.argmin(total(x, ys), axis=1)
+        edge = (k == 0) | (k == n - 1)
+        if np.any(edge):
+            x_bad = float(x[np.argmax(edge), 0])
+            raise OracleError(
+                f"action minimizer for x={x_bad:g}, t={t:g} sits on the "
+                "y-box edge; enlarge y_box")
 
-    yr = np.linspace(ys[k - 1], ys[k + 1], n)
-    vr = total(yr)
-    j = int(np.argmin(vr))
-    best = float(vr[j])
-    if 0 < j < n - 1:
-        d2 = vr[j - 1] - 2.0 * vr[j] + vr[j + 1]
-        if np.isfinite(d2) and d2 > 0.0:
-            step = yr[1] - yr[0]
-            y_v = yr[j] - 0.5 * step * (vr[j + 1] - vr[j - 1]) / d2
-            best = min(best, float(total(np.asarray([y_v]))[0]))
-    return best
-
-
-def hopf_lax_grid(m, S0, xs, t, y_box=(-30.0, 30.0), n=2001):
-    xs = np.asarray(xs, dtype=float)
-    return np.array([hopf_lax(m, S0, x, t, y_box=y_box, n=n) for x in xs])
+        yr = np.linspace(ys[k - 1], ys[k + 1], n, axis=1)
+        vr = total(x, yr)
+        j = np.argmin(vr, axis=1)
+        r = np.arange(x.shape[0])
+        best = vr[r, j]
+        jm, jp = np.maximum(j - 1, 0), np.minimum(j + 1, n - 1)
+        d2 = vr[r, jm] - 2.0 * best + vr[r, jp]
+        vertex = (0 < j) & (j < n - 1) & np.isfinite(d2) & (d2 > 0.0)
+        if np.any(vertex):
+            i = np.flatnonzero(vertex)
+            step = yr[i, 1] - yr[i, 0]
+            y_v = yr[i, j[i]] - 0.5 * step * (vr[i, jp[i]] - vr[i, jm[i]]) / d2[i]
+            cand = total(x[i, 0], y_v)
+            best[i] = np.where(cand < best[i], cand, best[i])
+        out[b:b + rows] = best
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -147,36 +147,45 @@ def legendre_batch(m, x, v):
 
     Returns (p_star, L) with L = v*p_star - P(x, p_star).  Entries whose
     velocity is not attained on the box are returned as NaN in both outputs;
-    scalar callers turn that into NoRootError.
+    scalar callers turn that into NoRootError.  Each entry stops on its own
+    test, so its result does not depend on the batch it is solved in.
     """
     v = np.asarray(v, dtype=float)
     scalar = v.ndim == 0
     v = np.atleast_1d(v).astype(float)
     x_arr = np.broadcast_to(np.asarray(x, dtype=float), v.shape).copy()
 
-    lo = np.full_like(v, P_BOX[0])
-    hi = np.full_like(v, P_BOX[1])
-    g_lo = eval_dP_dp(m, x_arr, lo) - v
-    g_hi = eval_dP_dp(m, x_arr, hi) - v
+    g_lo = eval_dP_dp(m, x_arr, np.full_like(v, P_BOX[0])) - v
+    g_hi = eval_dP_dp(m, x_arr, np.full_like(v, P_BOX[1])) - v
     ok = (g_lo <= 0.0) & (g_hi >= 0.0)
 
-    p = np.where(ok, 0.5 * (lo + hi), np.nan)
+    p = np.full(v.size, np.nan)
+    # the working arrays hold only the entries still iterating
+    act = np.flatnonzero(ok)
+    xa, va = x_arr.ravel()[act], v.ravel()[act]
+    lo = np.full(act.size, P_BOX[0])
+    hi = np.full(act.size, P_BOX[1])
+    pa = 0.5 * (lo + hi)
     # Newton with bisection fallback; dP/dp is increasing so the bracket shrinks
     for _ in range(110):
-        with np.errstate(all="ignore"):
-            g = eval_dP_dp(m, x_arr, np.where(ok, p, 0.0)) - v
-            hess = eval_hess(m, x_arr, np.where(ok, p, 0.0))
-            lo = np.where(ok & (g < 0), p, lo)
-            hi = np.where(ok & (g > 0), p, hi)
-            step = np.where(hess > 0, g / np.where(hess > 0, hess, 1.0), np.inf)
-            cand = p - step
-            bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
-            cand = np.where(bad, 0.5 * (lo + hi), cand)
-            p_new = np.where(ok, cand, np.nan)
-        if np.all(~ok | (np.abs(p_new - p) < 1e-15) | (hi - lo < 1e-15)):
-            p = p_new
+        if act.size == 0:
             break
-        p = p_new
+        with np.errstate(all="ignore"):
+            g = eval_dP_dp(m, xa, pa) - va
+            hess = eval_hess(m, xa, pa)
+            lo = np.where(g < 0, pa, lo)
+            hi = np.where(g > 0, pa, hi)
+            step = np.where(hess > 0, g / np.where(hess > 0, hess, 1.0), np.inf)
+            cand = pa - step
+            bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
+            p_new = np.where(bad, 0.5 * (lo + hi), cand)
+        done = (np.abs(p_new - pa) < 1e-15) | (hi - lo < 1e-15)
+        p[act[done]] = p_new[done]
+        keep = ~done
+        act, xa, va, lo, hi, pa = (a[keep] for a in
+                                   (act, xa, va, lo, hi, p_new))
+    p[act] = pa
+    p = p.reshape(v.shape)
     L = np.where(ok, v * p - eval_P(m, x_arr, np.where(ok, p, 0.0)), np.nan)
     if scalar:
         return float(p[0]), float(L[0])

@@ -46,6 +46,22 @@ def test_action_short_time_limit(m_burgers):
 def test_action_box_edge_error(m_burgers):
     with pytest.raises(oracle.OracleError):
         oracle.hopf_lax(m_burgers, "x^2/2", x=5.0, t=1.0, y_box=(-0.5, 0.5))
+    # the minimizer of y^2/2 + (x-y)^2/2 is y = x/2: x = 2, -4 and 3 leave
+    # the box, and the error names the first of them in grid order
+    with pytest.raises(oracle.OracleError) as err:
+        oracle.hopf_lax_grid(m_burgers, "x^2/2", [0.0, 0.3, 2.0, -4.0, 3.0],
+                             1.0, y_box=(-0.5, 0.5))
+    assert str(err.value) == ("action minimizer for x=2, t=1 sits on the "
+                              "y-box edge; enlarge y_box")
+
+
+def test_action_grid_does_not_depend_on_the_block_size(monkeypatch):
+    m = symbol.make_symbol(jumps=((1.0, "0.7"),))
+    xs = np.linspace(-3.0, 3.0, 241)
+    blocked = oracle.hopf_lax_grid(m, "log(sech(x))", xs, 1.0)
+    monkeypatch.setattr(oracle, "_BLOCK_VELOCITIES", 1)
+    by_row = oracle.hopf_lax_grid(m, "log(sech(x))", xs, 1.0)
+    assert np.array_equal(blocked, by_row)
 
 
 def test_action_matches_characteristics(tanh_fan, m_burgers):

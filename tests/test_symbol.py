@@ -116,6 +116,21 @@ def test_legendre_duality_random_mixtures():
     assert count > 150
 
 
+def test_legendre_batch_solves_each_entry_as_if_alone():
+    # every entry stops on its own Newton test, so sharing a batch with
+    # slower velocities leaves its iterate unchanged; the hopf-lax oracle's
+    # coarse grid for the jump symbol, unattainable velocities included
+    m = make_symbol(jumps=((1.0, "0.7"),))
+    v = (0.3 - np.linspace(-30.0, 30.0, 2001)) / 0.5
+    p, L = symbol.legendre_batch(m, 0.0, v)
+    alone = [symbol.legendre_batch(m, 0.0, v[i:i + 1]) for i in range(v.size)]
+    assert np.array_equal(p, np.concatenate([a[0] for a in alone]),
+                          equal_nan=True)
+    assert np.array_equal(L, np.concatenate([a[1] for a in alone]),
+                          equal_nan=True)
+    assert np.any(np.isnan(p)) and np.any(np.isfinite(p))
+
+
 def test_legendre_no_root_and_clamped():
     m = pure_jump()  # dP/dp = e^p > 0
     with pytest.raises(NoRootError):
