@@ -10,7 +10,6 @@ collar run plainly until they land on the moving cluster and are absorbed
 by it.
 """
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -21,15 +20,21 @@ from . import characteristics
 from . import density
 from . import expr
 from . import symbol
-# bench/tracing.py wraps these by-name imports; eval_dP_dx and eval_hess
-# are unused here
+# bench/tracing.py wraps these by-name imports; eval_P and eval_dP_dx are
+# unused here
 from .symbol import (eval_P, eval_dP_dp, eval_dP_dx, eval_hess,  # noqa: F401
                      P_BOX)
 
 
 SHIFT_SCAN = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 100.0)
 MONO_FLOOR = 1e-7      # error level under which schedule decrease is moot
-DETECT_GRID = 4001
+# the reference density is compared on N_X points at N_TIMES instants in
+# (0, T], outside a collar of half-width COLLAR_HALFWIDTH around each shock
+# from COLLAR_LEAD before the focal time on
+N_X = 241
+N_TIMES = 10
+COLLAR_HALFWIDTH = 0.25
+COLLAR_LEAD = 0.1
 
 
 class RegularizeError(ValueError):
@@ -102,43 +107,12 @@ class RegularizationParams:
 # straight-line insertion
 
 
-def _as_x_fn(f, what="profile"):
-    """Coerce an expression in x, or a callable, into a vectorized function."""
+def _x_expression(f, what):
+    """Parse text in x; an Expression passes through."""
     f = expr.as_expression(f, ("x",))
-    if isinstance(f, expr.Expression):
-        return functools.partial(expr.evaluate_at, f)
-    if callable(f):
-        g = f
-
-        def fn(x):
-            x = np.asarray(x, dtype=float)
-            return np.asarray(g(x), dtype=float) + np.zeros_like(x)
-
-        return fn
-    raise RegularizeError(f"{what} must be an expression in x or a callable")
-
-
-def data_singularity(m, u0, x_box, n=DETECT_GRID):
-    """First focusing time and label of the plain flow for gradient data u0.
-
-    Returns (inf, argmax label) when the data never compresses.
-    """
-    u0 = _as_x_fn(u0, "u0")
-    xs = np.linspace(float(x_box[0]), float(x_box[1]), int(n))
-    v = eval_dP_dp(m, xs, u0(xs)) + np.zeros_like(xs)
-    comp = -np.gradient(v, xs)
-    i = int(np.argmax(comp))
-    x_star, c_star = xs[i], comp[i]
-    if 0 < i < xs.size - 1:
-        denom = comp[i - 1] - 2.0 * comp[i] + comp[i + 1]
-        if denom < -1e-300:
-            h = xs[1] - xs[0]
-            shift = 0.5 * (comp[i - 1] - comp[i + 1]) / denom
-            x_star = xs[i] + shift * h
-            c_star = comp[i] - 0.125 * (comp[i - 1] - comp[i + 1]) ** 2 / denom
-    if c_star <= 0.0:
-        return math.inf, float(x_star)
-    return 1.0 / float(c_star), float(x_star)
+    if not isinstance(f, expr.Expression):
+        raise RegularizeError(f"{what} must be an expression in x")
+    return f
 
 
 @dataclass
@@ -187,32 +161,20 @@ class Insertion:
         return out[0] if x0.ndim == 0 else out
 
 
-def build_insertion(m, u0, x0_star, beta, T=0.0):
+def build_insertion(m, u0, x0_star, beta):
     """Fit the focusing straight-line profile across (x0*-beta, x0*+beta)."""
     if not m.spatially_homogeneous:
         raise RegularizeError(
             "the insertion profile needs a spatially homogeneous symbol")
     if not (beta > 0.0):
         raise RegularizeError("beta must be positive")
-    u0 = _as_x_fn(u0, "u0")
+    u0 = _x_expression(u0, "u0")
     x0_star = float(x0_star)
-    p_l0 = float(u0(x0_star - beta))
-    p_r0 = float(u0(x0_star + beta))
+    p_l0 = float(expr.evaluate_at(u0, x0_star - beta))
+    p_r0 = float(expr.evaluate_at(u0, x0_star + beta))
     ins = Insertion(m, x0_star, float(beta), p_l0, p_r0)
     ins.u1(np.array([x0_star - beta, x0_star, x0_star + beta]))  # solvable
     return ins
-
-
-def plateau_speed(m, x_l, p_l, x_r, p_r):
-    """Jump speed from the symbol mismatch across the plateau endpoints."""
-    dp = float(p_r) - float(p_l)
-    if abs(dp) <= 1e-12:
-        warnings.warn("degenerate jump: momenta coincide; "
-                      "falling back to the one-sided group speed",
-                      RuntimeWarning, stacklevel=2)
-        return float(eval_dP_dp(m, x_l, p_l))
-    num = float(eval_P(m, x_r, p_r)) - float(eval_P(m, x_l, p_l))
-    return num / dp
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +200,11 @@ def _first_crossing(labs, vs, edge_fn, sign, T):
     if labs.size == 0:
         return t_abs
     tg = np.linspace(0.0, T, 2049)
-    D = sign * (labs[:, None] + tg[None, :] * vs[:, None] - edge_fn(tg)[None, :])
+    # built in place: one (rows, 2049) array instead of four temporaries
+    D = tg[None, :] * vs[:, None]
+    D += labs[:, None]
+    D -= edge_fn(tg)[None, :]
+    D *= sign
     hit = D >= 0.0
     rows = np.where(hit.any(axis=1))[0]
     if rows.size == 0:
@@ -314,9 +280,10 @@ class BlendedFlow:
         return self.inside | (float(t) < self.t_abs)
 
 
-def blended_fan(m, u0, params, T, x0_star=None, t_star=None,
+def blended_fan(m, u0, params, T, x0_star, t_star,
                 x_box=(-3.0, 3.0), n_rows=2401):
-    """Build the blended trajectory family over [0, T].
+    """Build the blended trajectory family over [0, T] around the focal
+    point (t_star, x0_star).
 
     Collar rows follow the straight-line insertion until the window around
     the focusing time opens, then ride at the plateau speed; outer rows run
@@ -327,11 +294,7 @@ def blended_fan(m, u0, params, T, x0_star=None, t_star=None,
     if not m.spatially_homogeneous:
         raise RegularizeError(
             "the blended flow needs a spatially homogeneous symbol")
-    u0 = _as_x_fn(u0, "u0")
-    if t_star is None or x0_star is None:
-        t_det, x_det = data_singularity(m, u0, x_box)
-        t_star = t_det if t_star is None else float(t_star)
-        x0_star = x_det if x0_star is None else float(x0_star)
+    u0 = _x_expression(u0, "u0")
     t_star, x0_star = float(t_star), float(x0_star)
     if not math.isfinite(t_star):
         raise RegularizeError("the data never focuses; nothing to blend")
@@ -341,18 +304,23 @@ def blended_fan(m, u0, params, T, x0_star=None, t_star=None,
         raise RegularizeError("collar sticks out of the label box")
 
     ins = build_insertion(m, u0, x0_star, beta)
+    K = ins.K()
+    if not K > 0.0:
+        raise RegularizeError(
+            f"the data do not compress across the collar around "
+            f"x0*={x0_star:g} (focusing rate {K:.6g}); nothing to blend")
     lab = np.linspace(float(x_box[0]), float(x_box[1]), int(n_rows))
     for e in (edge_l, edge_r):
         lab[int(np.argmin(np.abs(lab - e)))] = e
     if np.any(np.diff(lab) <= 0.0):
         raise RegularizeError("label grid too coarse for the collar")
     inside = np.abs(lab - x0_star) <= beta * (1.0 + 1e-12)
-    p0 = u0(lab)
+    p0 = expr.evaluate_at(u0, lab)
     v = eval_dP_dp(m, lab, p0) + np.zeros_like(lab)
-    vprime = np.gradient(v, lab)
-    c = plateau_speed(m, edge_l, ins.p_l0, edge_r, ins.p_r0)
+    # dv/dx0 = P_pp * u0' for a spatially homogeneous symbol
+    vprime = eval_hess(m, lab, p0) * expr.evaluate_at(expr.diff(u0), lab)
+    c = float(symbol.jump_speed(m, x0_star, ins.p_l0, ins.p_r0))
     W = _window_integral(params, t_star)
-    K = ins.K()
     s_l = float(ins.speed(edge_l))
     s_r = float(ins.speed(edge_r))
     j_after = min(1.0 - K * float(W(t_star)), 1.0 - K * float(W(T)))
@@ -443,8 +411,9 @@ def _boundary_label(t_abs, labs, edge, t):
                            np.concatenate([[edge], lb])))
 
 
-def _plateau_mass(flow, cum, t):
-    """Mass carried by the cluster: collar labels plus everything absorbed."""
+def _cluster_labels(flow, t):
+    """Label interval [m_l, m_r] carried by the cluster at time t: the
+    collar plus everything absorbed."""
     ins = flow.insertion
     edge_l, edge_r = ins.x0_star - ins.beta, ins.x0_star + ins.beta
     outs = ~flow.inside
@@ -452,7 +421,18 @@ def _plateau_mass(flow, cum, t):
     right = outs & (flow.x0 > ins.x0_star)
     m_l = _boundary_label(flow.t_abs[left], flow.x0[left], edge_l, t)
     m_r = _boundary_label(flow.t_abs[right], flow.x0[right], edge_r, t)
-    return float(cum(m_r) - cum(m_l))
+    return m_l, m_r
+
+
+def _plateau_mass(flow, rho0, t):
+    """Mass of rho0 over the cluster's labels, by the label rule of
+    `GeneralizedDensity.initial_mass` on the label knots inside them."""
+    m_l, m_r = _cluster_labels(flow, t)
+    lab = flow.x0[(flow.x0 > m_l) & (flow.x0 < m_r)]
+    knots = np.concatenate([[m_l], lab, [m_r]])
+    nodes, w = density._gauss(knots[:-1], knots[1:],
+                              2 * density.GAUSS_POINTS)
+    return float(np.sum(expr.evaluate_at(rho0, nodes) * w))
 
 
 def _strictly_decreasing(vals, floor=MONO_FLOOR):
@@ -482,16 +462,15 @@ class LimitStudy:
 
 def limit_study(m, S0, rho0, eps_schedule, T, S0_prime=None, betas=None,
                 A_shift=None, B_profile="tanh",
-                x_box=(-3.0, 3.0), n_rows=2401, h_t=2.5e-3, store_every=2,
-                collar_halfwidth=0.25, collar_lead=0.1,
-                times=None, n_x=241):
+                x_box=(-3.0, 3.0), n_rows=2401, h_t=2.5e-3, store_every=2):
     """Compare blended flows across a shrinking window schedule.
 
-    For each epsilon the blended density is sampled on a fixed space-time
-    grid and measured against the generalized solution away from a collar
-    around the jump path; the cluster mass at T is measured against the
-    jump amplitude.  Distances that fail to shrink strictly along the
-    schedule are flagged with a warning.
+    The focal point is the birth of the fan's first shock.  For each
+    epsilon the blended density is sampled on a fixed space-time grid and
+    measured against the generalized solution away from a collar around
+    the jump path; the cluster mass at T is measured against the jump
+    amplitude.  Distances that fail to shrink strictly along the schedule
+    are flagged with a warning.
     """
     eps = tuple(float(e) for e in eps_schedule)
     if len(eps) < 1 or any(e <= 0 for e in eps):
@@ -502,50 +481,41 @@ def limit_study(m, S0, rho0, eps_schedule, T, S0_prime=None, betas=None,
         else tuple(float(b) for b in betas)
     if len(betas) != len(eps):
         raise RegularizeError("betas must match the schedule length")
-    rho_fn = _as_x_fn(rho0, "rho0")
-    if S0_prime is None:
-        u0_fn = functools.partial(expr.evaluate_at,
-                                  expr.diff(expr.as_expression(S0, ("x",))))
-    else:
-        u0_fn = _as_x_fn(S0_prime, "S0_prime")
+    rho0 = _x_expression(rho0, "rho0")
+    u0 = expr.diff(expr.as_expression(S0, ("x",))) if S0_prime is None \
+        else _x_expression(S0_prime, "S0_prime")
 
     lab = np.linspace(float(x_box[0]), float(x_box[1]), int(n_rows))
     fan = characteristics.integrate_fan(
         m, S0, lab, T, h_t, store_every=store_every, S0_prime=S0_prime)
     gd = density.build_density(fan, rho0=rho0)
-    t_star, x0_star = data_singularity(m, u0_fn, x_box)
+    # shock 0 is born at the earliest fold
+    t_star, x0_star = (gd.shocks[0].t_birth, gd.shocks[0].x0_birth) \
+        if gd.shocks else (math.inf, math.nan)
     shocked = math.isfinite(t_star) and t_star < T
 
     cov_lo = float(fan.x[:, 0].max())
     cov_hi = float(fan.x[:, -1].min())
     pad = 0.02 * (cov_hi - cov_lo)
-    xs = np.linspace(cov_lo + pad, cov_hi - pad, int(n_x))
-    ts = np.linspace(T / 10.0, T, 10) if times is None \
-        else np.asarray(times, dtype=float)
+    xs = np.linspace(cov_lo + pad, cov_hi - pad, N_X)
+    ts = np.linspace(T / N_TIMES, T, N_TIMES)
     # the reference density is sampled outside the collar only: at a fold
     # instant the collar may hold a point where J vanishes exactly
     R_ref, outer = [], []
     for t in ts:
         mask = np.ones(xs.shape, dtype=bool)
-        if shocked and t >= t_star - collar_lead:
+        if shocked and t >= t_star - COLLAR_LEAD:
             for rec in gd.shocks:
                 x_c = float(np.interp(t, rec.times, rec.x_s))
-                mask &= np.abs(xs - x_c) > collar_halfwidth
+                mask &= np.abs(xs - x_c) > COLLAR_HALFWIDTH
         outer.append(xs[mask])
         R_ref.append(gd.fields(float(t), xs[mask])["R"])
 
     e_ref_T = sum(e for _, e in gd.shock_masses(T)) if shocked else 0.0
-    xm = np.linspace(float(x_box[0]), float(x_box[1]), 40001)
-    dens = rho_fn(xm)
-    cum_tab = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(xm))])
-
-    def cum(x):
-        return float(np.interp(x, xm, cum_tab))
 
     if not shocked:
         # the unshocked flow does not depend on epsilon: measure it once
-        rho_lab = rho_fn(lab)
+        rho_lab = expr.evaluate_at(rho0, lab)
         sup = 0.0
         j_min = math.inf
         for t, R_t, x_out in zip(ts, R_ref, outer):
@@ -560,7 +530,7 @@ def limit_study(m, S0, rho0, eps_schedule, T, S0_prime=None, betas=None,
         sup_errs, e_errs, j_floors = [], [], []
         for e_i, b_i in zip(eps, betas):
             params = RegularizationParams(e_i, b_i, A_shift, B_profile)
-            flow = blended_fan(m, u0_fn, params, T, x0_star, t_star,
+            flow = blended_fan(m, u0, params, T, x0_star, t_star,
                                x_box, n_rows)
             if not flow.monotone:
                 warnings.warn(
@@ -570,11 +540,12 @@ def limit_study(m, S0, rho0, eps_schedule, T, S0_prime=None, betas=None,
             for t, R_t, x_out in zip(ts, R_ref, outer):
                 act = flow.active(t)
                 x_act = flow.positions(float(t))[act]
-                R_act = rho_fn(flow.x0[act]) / np.abs(flow.jacobians(t)[act])
+                R_act = expr.evaluate_at(rho0, flow.x0[act]) \
+                    / np.abs(flow.jacobians(t)[act])
                 R_eps = np.interp(x_out, x_act, R_act)
                 sup = max(sup, float(np.max(np.abs(R_eps - R_t))))
             sup_errs.append(sup)
-            e_errs.append(abs(_plateau_mass(flow, cum, T) - e_ref_T))
+            e_errs.append(abs(_plateau_mass(flow, rho0, T) - e_ref_T))
             j_floors.append(flow.min_inside_J_after / e_i)
 
     mono_R = _strictly_decreasing(sup_errs)

@@ -138,6 +138,12 @@ def eval_d2P_dx2(m, x, p):
     return _p_derivative(m, x, p, _dxx, 0)
 
 
+def jump_speed(m, x, p_l, p_r):
+    """Rankine-Hugoniot quotient [P]/[p] of a jump from p_l to p_r at x;
+    the caller keeps p_l and p_r apart."""
+    return (eval_P(m, x, p_l) - eval_P(m, x, p_r)) / (p_l - p_r)
+
+
 # ---------------------------------------------------------------------------
 # velocity inversion (Legendre data)
 

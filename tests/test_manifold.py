@@ -151,6 +151,33 @@ def test_moving_shock_galilean(drift_fan):
     assert dev < 1e-4
 
 
+def _old_speed_deviation(rec, m, p_gap=1e-4):
+    # the per-sample loop check_speed_consistency ran before it called the
+    # vectorized symbol.jump_speed
+    worst = 0.0
+    for k in range(rec.times.size):
+        dp = rec.p_l[k] - rec.p_r[k]
+        if abs(dp) < p_gap:
+            continue
+        Pl = float(symbol.eval_P(m, rec.x_s[k], rec.p_l[k]))
+        Pr = float(symbol.eval_P(m, rec.x_s[k], rec.p_r[k]))
+        rh = (Pl - Pr) / dp
+        dev = abs(rec.c[k] - rh) / (1.0 + abs(rec.c[k]))
+        worst = max(worst, dev)
+    return worst
+
+
+@pytest.mark.parametrize("preset", ["riemann_gd", "kirchhoff_gd"])
+def test_speed_consistency_matches_old_loop(preset, request):
+    gd = request.getfixturevalue(preset)
+    m = gd.fan.symbol
+    for rec in gd.shocks:
+        new = manifold.check_speed_consistency(rec, m)
+        assert new == _old_speed_deviation(rec, m)
+    assert any(manifold.check_speed_consistency(rec, m) > 0.0
+               for rec in gd.shocks)
+
+
 @pytest.mark.parametrize("t", [1.2, 1.5])
 def test_equal_action_root_closes_the_action_gap(drift_fan, t):
     # Newton on S_l - S_r with the exact slope p_l - p_r: the returned rows

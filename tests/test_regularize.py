@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tunnelshock import characteristics, regularize, symbol
+from tunnelshock import characteristics, density, expr, regularize, symbol
 
 
 @pytest.fixture(scope="module")
@@ -18,8 +18,10 @@ def m_jump():
 
 @pytest.fixture(scope="module")
 def tanh_flow(m_burgers):
+    # u0 = -tanh(2x) with A = 0.5 focuses at t* = 0.5, x0* = 0
     params = regularize.RegularizationParams(1e-2, 1e-1)
-    return regularize.blended_fan(m_burgers, "0-tanh(2*x)", params, 1.0)
+    return regularize.blended_fan(m_burgers, "0-tanh(2*x)", params, 1.0,
+                                  0.0, 0.5)
 
 
 def test_params_validation():
@@ -129,23 +131,48 @@ def test_insertion_rejects_inhomogeneous_symbol():
         regularize.build_insertion(m, "0-x", 0.0, 0.1)
 
 
-def test_plateau_speed_pairs(m_burgers, m_jump):
-    assert abs(regularize.plateau_speed(m_burgers, 0, 1.0, 0, -1.0)) < 1e-14
-    assert abs(regularize.plateau_speed(m_burgers, 0, 2.0, 0, 0.0) - 1.0) < 1e-14
-    c = regularize.plateau_speed(m_jump, 0, 1.0, 0, 0.0)
+def test_jump_speed_pairs(m_burgers, m_jump):
+    assert abs(symbol.jump_speed(m_burgers, 0, 1.0, -1.0)) < 1e-14
+    assert abs(symbol.jump_speed(m_burgers, 0, 2.0, 0.0) - 1.0) < 1e-14
+    c = symbol.jump_speed(m_jump, 0, 1.0, 0.0)
     assert abs(c - (np.e - 1.0)) < 1e-14
-    with pytest.warns(RuntimeWarning):
-        c = regularize.plateau_speed(m_burgers, 0.0, 0.7, 0.0, 0.7)
-    assert abs(c - 0.7) < 1e-12  # one-sided group speed
+    # vectorized over jumps, either orientation
+    c = symbol.jump_speed(m_burgers, 0.0, np.array([1.0, 0.0, 2.0]),
+                          np.array([-1.0, 2.0, 0.0]))
+    assert np.max(np.abs(c - np.array([0.0, 1.0, 1.0]))) < 1e-14
 
 
-def test_data_singularity_detection(m_burgers):
-    t_star, x_star = regularize.data_singularity(m_burgers, "0-tanh(2*x)",
-                                                 (-3.0, 3.0))
-    assert abs(t_star - 0.5) < 1e-4
-    assert abs(x_star) < 1e-6
-    t_none, _ = regularize.data_singularity(m_burgers, "x", (-3.0, 3.0))
-    assert np.isinf(t_none)
+def test_limit_study_focal_point_is_first_shock_birth(tanh_limit_study):
+    ls = tanh_limit_study
+    m = symbol.make_symbol(A="0.5")
+    fan = characteristics.integrate_fan(
+        m, "log(sech(2*x))/2", np.linspace(-3.0, 3.0, 2401), T=1.0,
+        h_t=2.5e-3, store_every=2, S0_prime="0-tanh(2*x)")
+    first = density.build_density(fan, rho0="1").shocks[0]
+    assert ls.t_star == first.t_birth
+    assert ls.x0_star == first.x0_birth
+    assert abs(ls.t_star - 0.5) < 1e-12
+    assert abs(ls.x0_star) < 1e-12
+
+
+@pytest.mark.parametrize("u0, x0_star", [
+    ("0-x*exp(0-x^2)", 0.9),  # u0' > 0 on the collar [0.8, 1.0]: K < 0
+    ("0-x^2", 0.0),           # equal momenta at the collar edges: K = 0
+])
+def test_blended_fan_rejects_a_collar_that_does_not_compress(m_burgers, u0,
+                                                             x0_star):
+    params = regularize.RegularizationParams(1e-2, 1e-1)
+    with pytest.raises(regularize.RegularizeError, match="do not compress"):
+        regularize.blended_fan(m_burgers, u0, params, 1.0, x0_star, 0.5)
+
+
+def test_plateau_mass_is_the_exact_label_integral(tanh_flow):
+    rho0 = expr.as_expression("exp(0-x^2)", ("x",))
+    for t in (0.3, 0.6, 1.0):
+        m_l, m_r = regularize._cluster_labels(tanh_flow, t)
+        exact = 0.5 * math.sqrt(math.pi) * (math.erf(m_r) - math.erf(m_l))
+        got = regularize._plateau_mass(tanh_flow, rho0, t)
+        assert abs(got - exact) < 1e-12
 
 
 def test_blended_flow_matches_straight_insertion_before_window(tanh_flow):
@@ -182,7 +209,8 @@ def test_blended_flow_rides_at_jump_speed_after_window(tanh_flow):
 def test_blended_flow_jacobian_floor_and_shift(m_burgers):
     # wider front: focus at t*=1, run past it
     params = regularize.RegularizationParams(1e-2, 1e-1)
-    bf = regularize.blended_fan(m_burgers, "0-tanh(x)", params, 1.5)
+    bf = regularize.blended_fan(m_burgers, "0-tanh(x)", params, 1.5,
+                                0.0, 1.0)
     assert bf.A_shift == 0.0
     assert bf.monotone
     ratio = bf.min_inside_J_after / params.epsilon
@@ -196,7 +224,8 @@ def test_blended_flow_jacobian_floor_and_shift(m_burgers):
 
 def test_blended_flow_map_strictly_increasing(m_burgers):
     params = regularize.RegularizationParams(2.5e-3, 5e-2)
-    bf = regularize.blended_fan(m_burgers, "0-tanh(2*x)", params, 1.0)
+    bf = regularize.blended_fan(m_burgers, "0-tanh(2*x)", params, 1.0,
+                                0.0, 0.5)
     for t in np.concatenate([np.linspace(0.0, 1.0, 9),
                              bf.t_star + params.epsilon
                              * np.array([-3.0, 0.0, 3.0])]):
@@ -208,7 +237,7 @@ def test_blended_flow_map_strictly_increasing(m_burgers):
 def test_limit_study_shrinking_window(tanh_limit_study):
     ls = tanh_limit_study
     assert ls.shocked
-    assert abs(ls.t_star - 0.5) < 1e-4
+    assert abs(ls.t_star - 0.5) < 1e-12
     rows = ls.rows()
     assert len(rows) == 3
     sup = [r[2] for r in rows]
@@ -224,6 +253,7 @@ def test_limit_study_rarefaction_passthrough(m_burgers):
     ls = regularize.limit_study(m_burgers, "x^2/2", "1", (1e-2, 2.5e-3),
                                 T=1.0, S0_prime="x")
     assert not ls.shocked
+    assert math.isinf(ls.t_star)
     for row in ls.rows():
         assert row[2] <= 1e-8
         assert row[3] == 0.0
