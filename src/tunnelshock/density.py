@@ -24,13 +24,6 @@ class DensityError(ValueError):
     pass
 
 
-def transport_density(fan, rho0="1"):
-    """Regular density over the stored fan grid (rows may be fold-crossed)."""
-    vals = expr.evaluate_at(expr.as_expression(rho0, ("x",)), fan.x0)
-    with np.errstate(divide="ignore"):
-        return vals[None, :] * np.exp(-fan.a_int) / np.abs(fan.J)
-
-
 def _friction_at_shock(fan, x_s, p_l, p_r):
     """Damping felt by a point mass on the path, matching the bulk transport:
     the symbol's damping at the mean momentum."""
@@ -93,21 +86,9 @@ class GeneralizedDensity:
         """(position, amplitude) of every shock alive at time t."""
         out = []
         for rec in self.shocks:
-            t_end = rec.t_end if rec.t_end is not None else rec.times[-1]
-            if rec.t_birth - 1e-12 <= t <= t_end + 1e-12 and rec.e is not None:
-                vals = rec.at(min(t, rec.times[-1]))
-                x_s, e = vals["x_s"], vals["e"]
-                if rec.t_end is not None and t > rec.times[-1]:
-                    e = rec.e_end
-                elif t < rec.times[0] and not rec.parents:
-                    # before the first tracked sample the amplitude ramps
-                    # from zero at the fold instant, so scale the clamped
-                    # value instead of holding it flat across the gap
-                    gap = float(rec.times[0]) - rec.t_birth
-                    frac = (t - rec.t_birth) / gap if gap > 0 else 1.0
-                    e = e * frac
-                    x_s = rec.x_birth + (x_s - rec.x_birth) * frac
-                out.append((x_s, float(e)))
+            if rec.e is not None and rec.alive(t):
+                vals = rec.at(t)
+                out.append((vals["x_s"], vals["e"]))
         return out
 
 
@@ -126,7 +107,8 @@ def merge_amplitude(parent_a, parent_b):
 
 
 def attach_amplitudes(gd):
-    """Fill R_l, R_r, e along every shock record (parents before children).
+    """Fill R_l, R_r, e, e_birth and e_end along every shock record
+    (parents before children).
 
     The influx terms R (u - c) dt are integrated in label space, where the
     chain rule turns them into smooth moving-endpoint integrals of the
@@ -147,7 +129,7 @@ def attach_amplitudes(gd):
         sr = np.sign(rec.J_r)
         if rec.parents:
             pa, pb = (by_id[i] for i in rec.parents)
-            e_prev = merge_amplitude(pa, pb)
+            e_prev = rec.e_birth = merge_amplitude(pa, pb)
             # the parents' e_end already extrapolates their influx up to the
             # merge instant, so the child's sweep must start from the stream
             # preimages advanced to that instant (not the last stored ones)
@@ -160,7 +142,7 @@ def attach_amplitudes(gd):
             rhol_prev = float(rho0(x0l_prev) * np.exp(-pa.aint_l[-1]))
             rhor_prev = float(rho0(x0r_prev) * np.exp(-pb.aint_r[-1]))
         else:
-            e_prev = 0.0
+            e_prev = rec.e_birth = 0.0
             aint0 = _aint_on_label(gd.fan, rec.t_birth, rec.x0_birth)
             rho_star = float(rho0(rec.x0_birth) * np.exp(-aint0))
             x0l_prev = x0r_prev = float(rec.x0_birth)
@@ -179,16 +161,13 @@ def attach_amplitudes(gd):
             t_prev, f_prev = float(rec.times[k]), float(f[k])
             x0l_prev, x0r_prev = float(rec.x0_l[k]), float(rec.x0_r[k])
             rhol_prev, rhor_prev = float(rho_l[k]), float(rho_r[k])
-        rec.e = e
+        rec.e, rec.e_end = e, float(e[-1])
         if rec.merged_into >= 0:
-            t_m = float(by_id[rec.merged_into].t_birth)
+            # the balance carried on from the last sample to the handoff
             g_end = (rec.R_l[-1] * (rec.u_l[-1] - rec.c[-1])
                      - rec.R_r[-1] * (rec.u_r[-1] - rec.c[-1]))
-            dt = t_m - float(rec.times[-1])
-            rec.t_end = t_m
-            rec.e_end = float(rec.e[-1] + dt * (g_end - f[-1] * rec.e[-1]))
-        else:
-            rec.t_end, rec.e_end = float(rec.times[-1]), float(rec.e[-1])
+            dt = rec.t_end - float(rec.times[-1])
+            rec.e_end = float(e[-1] + dt * (g_end - f[-1] * e[-1]))
     return gd
 
 

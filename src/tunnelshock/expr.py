@@ -533,8 +533,3 @@ def _unparse(node, parent_prec):
     if prec < parent_prec:
         return "(" + text + ")"
     return text
-
-
-def to_source(e):
-    """Render an Expression back to parseable text (round-trip stable)."""
-    return _unparse(e.ast, 0)

@@ -364,6 +364,10 @@ def first_singularity(fan):
 # shock paths
 
 
+# fields of a record that `ShockRecord.at` interpolates over its whole life
+_PATH_FIELDS = ("x_s", "c", "p_l", "p_r", "e")
+
+
 @dataclass
 class ShockRecord:
     id: int
@@ -378,7 +382,6 @@ class ShockRecord:
     p_r: np.ndarray = None
     u_l: np.ndarray = None
     u_r: np.ndarray = None
-    S_s: np.ndarray = None
     x0_l: np.ndarray = None
     x0_r: np.ndarray = None
     J_l: np.ndarray = None
@@ -390,17 +393,51 @@ class ShockRecord:
     e: np.ndarray = None
     merged_into: int = -1
     t_end: float = None   # instant the record hands off (merge) or stops
+    x_end: float = None   # handoff point: the merge child's x_birth
+    e_birth: float = None  # amplitude at t_birth: 0, or the parents' sum
     e_end: float = None   # amplitude carried to t_end
 
-    def at(self, t):
-        """Linear interpolation of path quantities at time t."""
-        out = {}
-        for name in ("x_s", "c", "p_l", "p_r", "u_l", "u_r", "S_s", "x0_l",
-                     "x0_r", "R_l", "R_r", "e"):
+    @property
+    def life(self):
+        """First and last knot time: the birth and the handoff, where they
+        lie more than 1e-15 outside the stored samples, else the samples'
+        own ends."""
+        t0, t1 = float(self.times[0]), float(self.times[-1])
+        lo = self.t_birth if self.t_birth < t0 - 1e-15 else t0
+        hand = self.merged_into >= 0 and self.t_end > t1 + 1e-15
+        return lo, (self.t_end if hand else t1)
+
+    def alive(self, t, tol=1e-12):
+        """Whether t (a number or an array) lies in the life, widened by
+        tol at both ends."""
+        lo, hi = self.life
+        return (lo - tol <= t) & (t <= hi + tol)
+
+    def knots(self):
+        """The stored samples with the birth row (x_birth, e_birth) and the
+        handoff row (x_end, e_end) added at the ends of `life`; c and the
+        momenta hold their nearest sample there.  Fields the record does
+        not carry are left out."""
+        lo, hi = self.life
+        head, tail = bool(lo < self.times[0]), bool(hi > self.times[-1])
+        out = {"t": np.concatenate(([lo] * head, self.times, [hi] * tail))}
+        ends = {"x_s": (self.x_birth, self.x_end),
+                "e": (self.e_birth, self.e_end)}
+        for name in _PATH_FIELDS:
             arr = getattr(self, name)
             if arr is not None:
-                out[name] = float(np.interp(t, self.times, arr))
+                a, b = ends.get(name, (arr[0], arr[-1]))
+                out[name] = np.concatenate(([a] * head, arr, [b] * tail))
         return out
+
+    def at(self, t):
+        """Path fields at time t (a number or an array): linear in t between
+        the knots, held at the birth and handoff values outside the life."""
+        knots = self.knots()
+        t_k = knots.pop("t")
+        out = {name: np.interp(t, t_k, arr) for name, arr in knots.items()}
+        return {k: float(v) for k, v in out.items()} if np.ndim(t) == 0 \
+            else out
 
 
 def _essential_branches_near(curve, x, w):
@@ -509,8 +546,7 @@ class _Tracker:
         u_l = float(symbol.eval_dP_dp(m, x_s, sl["p"]))
         u_r = float(symbol.eval_dP_dp(m, x_s, sr["p"]))
         self.samples.append(dict(t=curve.t, x_s=x_s, p_l=sl["p"], p_r=sr["p"],
-                                 u_l=u_l, u_r=u_r, S_s=0.5 * (sl["S"] + sr["S"]),
-                                 x0_l=sl["x0"], x0_r=sr["x0"],
+                                 u_l=u_l, u_r=u_r, x0_l=sl["x0"], x0_r=sr["x0"],
                                  J_l=sl["J"], J_r=sr["J"],
                                  aint_l=sl["a_int"], aint_r=sr["a_int"]))
         self.x_prev = x_s
@@ -520,7 +556,7 @@ class _Tracker:
         rec = ShockRecord(id=self.id, t_birth=self.t_birth, x_birth=self.x_birth,
                           x0_birth=self.x0_birth, parents=self.parents, times=t,
                           merged_into=self.merged_into)
-        for name in ("x_s", "p_l", "p_r", "u_l", "u_r", "S_s", "x0_l", "x0_r",
+        for name in ("x_s", "p_l", "p_r", "u_l", "u_r", "x0_l", "x0_r",
                      "J_l", "J_r", "aint_l", "aint_r"):
             setattr(rec, name, np.array([s[name] for s in self.samples]))
         if t.size >= 2:
@@ -625,4 +661,8 @@ def track_shocks(fan):
         if rec.times.size:
             check_admissibility(rec)
             check_speed_consistency(rec, fan.symbol)
+            rec.t_end = float(rec.times[-1])
+        if rec.merged_into >= 0:
+            child = records[rec.merged_into]
+            rec.t_end, rec.x_end = child.t_birth, child.x_birth
     return records

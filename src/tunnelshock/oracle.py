@@ -20,6 +20,14 @@ import numpy as np
 from . import expr, symbol
 
 EXP_CLIP = 700.0  # exponent guard when rescaling lattice values by e^{S/h}
+CFL = 0.8  # godunov's automatic step, as a fraction of the CFL bound
+# kf_lattice aborts once |u| at the window edge exceeds this share of max |u|
+SUPPORT_TOL = 1e-10
+LOG_FLOOR = 1e-300  # underflow floor of LatticeField.minus_h_log
+# shock collar of the tunnel comparison: lattice cells plus smearing widths
+# h/|p_l - p_r|
+COLLAR_CELLS = 5
+COLLAR_SMEAR = 3.0
 # velocities per Legendre solve of hopf_lax_grid (16 rows of 2001): larger
 # blocks gained less than the run-to-run noise, while peak memory grows with
 # the block (all 241 rows of the CLI grid at once: 125 MB against 37 MB)
@@ -136,7 +144,7 @@ def _sonic_point(m):
     return symbol.legendre_clamped(m, 0.0, 0.0)[0]
 
 
-def godunov(m, v0, x_box, n_cells, T, store_times=None, cfl=0.8, dt=None):
+def godunov(m, v0, x_box, n_cells, T, store_times=None, dt=None):
     """First-order finite-volume solution of v_t + (P(v))_x = 0.
 
     The interface flux is the exact Riemann flux of a convex flux function:
@@ -173,7 +181,7 @@ def godunov(m, v0, x_box, n_cells, T, store_times=None, cfl=0.8, dt=None):
                     f"dt={dt:g} violates the CFL bound {limit:g} at t={t:g}")
             step = dt
         else:
-            step = cfl * limit
+            step = CFL * limit
         step = min(step, marks[mark_i] - t)
 
         vl = np.concatenate(([v[0]], v))
@@ -217,9 +225,9 @@ class LatticeField:
     def dx(self):
         return float(self.x[1] - self.x[0])
 
-    def minus_h_log(self, floor=1e-300):
+    def minus_h_log(self):
         """Action-scale reading -h*log(values) with an underflow floor."""
-        return -self.h * np.log(np.maximum(self.values, floor))
+        return -self.h * np.log(np.maximum(self.values, LOG_FLOOR))
 
 
 def make_lattice(u0, h, x_box, dx):
@@ -246,7 +254,7 @@ def _lattice_shifts(m, h, dx):
     return shifts
 
 
-def kf_lattice(m, field, T, safety=0.4, dt=None, support_tol=1e-10):
+def kf_lattice(m, field, T, safety=0.4, dt=None):
     """Advance a lattice field by T under the generator equation.
 
     Explicit stepping; the jump terms are exact grid shifts (displacements
@@ -313,7 +321,7 @@ def kf_lattice(m, field, T, safety=0.4, dt=None, support_tol=1e-10):
         scale = float(np.max(np.abs(vals)))
         edge = max(float(np.max(np.abs(vals[:1 + reach]))),
                    float(np.max(np.abs(vals[-1 - reach:]))))
-        if edge > support_tol * max(scale, 1e-300):
+        if edge > SUPPORT_TOL * max(scale, 1e-300):
             raise BoundaryContactError(
                 f"lattice support reached the window edge "
                 f"(edge magnitude {edge:g} vs scale {scale:g})")
@@ -359,12 +367,12 @@ class TunnelComparison:
                 for i in range(self.h.size)]
 
 
-def comparison_mask(gd, t, xs, dx, h, collar_cells=5, collar_smear=3.0):
+def comparison_mask(gd, t, xs, dx, h):
     """Points where the asymptotic comparison is meaningful.
 
     Keeps points covered by exactly one branch (bijective projection) and
-    outside every shock collar; the collar is ``collar_cells`` lattice cells
-    plus ``collar_smear`` smearing widths h/|p_l - p_r|.
+    outside every shock collar; the collar is COLLAR_CELLS lattice cells
+    plus COLLAR_SMEAR smearing widths h/|p_l - p_r|.
     """
     xs = np.asarray(xs, dtype=float)
     curve = gd.curve_at(t)
@@ -373,17 +381,16 @@ def comparison_mask(gd, t, xs, dx, h, collar_cells=5, collar_smear=3.0):
         counts += b.covers(xs)
     keep = counts == 1
     for rec in gd.shocks:
-        t_end = rec.t_end if rec.t_end is not None else float(rec.times[-1])
-        if not rec.t_birth - 1e-12 <= t <= t_end + 1e-12:
+        if not rec.alive(t):
             continue
-        vals = rec.at(min(t, float(rec.times[-1])))
+        vals = rec.at(t)
         gap = abs(vals["p_l"] - vals["p_r"])
-        width = collar_cells * dx + collar_smear * h / max(gap, 1e-12)
+        width = COLLAR_CELLS * dx + COLLAR_SMEAR * h / max(gap, 1e-12)
         keep &= np.abs(xs - vals["x_s"]) > width
     return keep
 
 
-def tunnel_compare(fields, gd, x_window, collar_cells=5, collar_smear=3.0):
+def tunnel_compare(fields, gd, x_window):
     """Error table of the product-form asymptotics against lattice runs.
 
     Every field must hold the solution at one common time.  For each field
@@ -401,9 +408,7 @@ def tunnel_compare(fields, gd, x_window, collar_cells=5, collar_smear=3.0):
     hs, errs, rel_errs, counts = [], [], [], []
     for f in fields:
         inside = (f.x >= x_window[0]) & (f.x <= x_window[1])
-        keep = inside & comparison_mask(gd, t, f.x, f.dx, f.h,
-                                        collar_cells=collar_cells,
-                                        collar_smear=collar_smear)
+        keep = inside & comparison_mask(gd, t, f.x, f.dx, f.h)
         if not np.any(keep):
             raise OracleError(
                 f"comparison set is empty for h={f.h:g} at t={t:g}")

@@ -142,10 +142,6 @@ class Insertion:
         x0 = np.asarray(x0, dtype=float)
         return -self.K() * x0 + self.b()
 
-    def collapse_time(self):
-        k = self.K()
-        return 1.0 / k if k > 0.0 else math.inf
-
     def u1(self, x0):
         """Gradient data generating the straight-line speeds (root solve)."""
         x0 = np.asarray(x0, dtype=float)
@@ -506,7 +502,7 @@ def limit_study(m, S0, rho0, eps_schedule, T, S0_prime=None, betas=None,
         mask = np.ones(xs.shape, dtype=bool)
         if shocked and t >= t_star - COLLAR_LEAD:
             for rec in gd.shocks:
-                x_c = float(np.interp(t, rec.times, rec.x_s))
+                x_c = rec.at(t)["x_s"]
                 mask &= np.abs(xs - x_c) > COLLAR_HALFWIDTH
         outer.append(xs[mask])
         R_ref.append(gd.fields(float(t), xs[mask])["R"])

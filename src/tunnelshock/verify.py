@@ -71,32 +71,14 @@ def _simpson_weights(panels, length):
     return w * (length / (3.0 * panels))
 
 
-def _extended_path(gd, rec):
-    """Path arrays stretched to the record's full life.
-
-    The stored samples start at the first store instant after birth and (for
-    merged records) stop one store instant before the handoff; interpolation
-    over the whole life needs the birth point (zero mass, or the parents'
-    combined mass for a merge child) and the handoff point prepended and
-    appended.
-    """
-    if rec.times is None or rec.times.size == 0:
-        raise VerifyError(f"shock {rec.id} carries no path samples")
-    if rec.e is None:
-        raise VerifyError(f"shock {rec.id} carries no amplitude samples")
-    by_id = {r.id: r for r in gd.shocks}
-    rows = [(rec.times, rec.x_s, rec.c, rec.e, rec.p_l, rec.p_r)]
-    if rec.t_birth < float(rec.times[0]) - 1e-15:
-        e0 = sum(by_id[i].e_end for i in rec.parents) if rec.parents else 0.0
-        rows.insert(0, (rec.t_birth, rec.x_birth, rec.c[0], e0,
-                        rec.p_l[0], rec.p_r[0]))
-    if rec.merged_into >= 0 and rec.t_end is not None \
-            and rec.t_end > float(rec.times[-1]) + 1e-15:
-        rows.append((rec.t_end, by_id[rec.merged_into].x_birth, rec.c[-1],
-                     rec.e_end, rec.p_l[-1], rec.p_r[-1]))
-    return {k: np.concatenate([np.atleast_1d(np.asarray(r[i], dtype=float))
-                               for r in rows])
-            for i, k in enumerate(("t", "x", "c", "e", "p_l", "p_r"))}
+def _tracked(gd):
+    """The shock records that carry path samples, each with amplitudes."""
+    live = [rec for rec in gd.shocks
+            if rec.times is not None and rec.times.size]
+    for rec in live:
+        if rec.e is None:
+            raise VerifyError(f"shock {rec.id} carries no amplitude samples")
+    return live
 
 
 def _segment_grid(edges, panels, nudge):
@@ -152,9 +134,7 @@ def identity_residuals(gd, zeta, levels, e_scale=1.0, e_scale_ids=None):
         raise VerifyError(
             f"bump support [{t_lo:g}, {t_hi:g}] clips the computed time "
             f"range [0, {float(fan.times[-1]):g}]")
-    live = [rec for rec in gd.shocks
-            if rec.times is not None and rec.times.size]
-    paths = [_extended_path(gd, rec) for rec in live]
+    live = _tracked(gd)
     scale_all = e_scale_ids is None
     panels = [2 ** int(level) for level in levels]
 
@@ -168,13 +148,11 @@ def identity_residuals(gd, zeta, levels, e_scale=1.0, e_scale_ids=None):
     # are nudged one-sidedly, past the equal-action tie window in which the
     # minimal-action selection would pick the wrong side of the jump
     nudge = 1e-6 * max(1.0, abs(x_lo), abs(x_hi))
-    for t in sorted(at_t):
-        cuts = []
-        for path in paths:
-            if path["t"][0] - 1e-12 <= t <= path["t"][-1] + 1e-12:
-                x_cut = float(np.interp(t, path["t"], path["x"]))
-                if x_lo + 2 * nudge < x_cut < x_hi - 2 * nudge:
-                    cuts.append(x_cut)
+    nodes = np.array(sorted(at_t))
+    paths = [(rec.alive(nodes), rec.at(nodes)["x_s"]) for rec in live]
+    for i, t in enumerate(nodes):
+        cuts = [x[i] for alive, x in paths if alive[i]
+                and x_lo + 2 * nudge < x[i] < x_hi - 2 * nudge]
         edges = [x_lo]
         for cut in sorted(cuts):
             if cut - edges[-1] > 4 * nudge:  # coincident cuts (merge instant)
@@ -198,22 +176,19 @@ def identity_residuals(gd, zeta, levels, e_scale=1.0, e_scale_ids=None):
             totals[j] += wt * float(np.dot(w_all, integrand))
 
     for j, n in enumerate(panels):
-        for rec, path in zip(live, paths):
-            s_lo = max(t_lo, float(path["t"][0]))
-            s_hi = min(t_hi, float(path["t"][-1]))
+        for rec in live:
+            lo, hi = rec.life
+            s_lo, s_hi = max(t_lo, lo), min(t_hi, hi)
             if s_hi - s_lo <= 1e-14:
                 continue
             tt = np.linspace(s_lo, s_hi, n + 1)
             ww = _simpson_weights(n, s_hi - s_lo)
-            x_s = np.interp(tt, path["t"], path["x"])
-            c = np.interp(tt, path["t"], path["c"])
-            e = np.interp(tt, path["t"], path["e"])
+            path = rec.at(tt)
+            x_s, e = path["x_s"], path["e"]
             if e_scale != 1.0 and (scale_all or rec.id in set(e_scale_ids)):
                 e = e * e_scale
-            p_l = np.interp(tt, path["t"], path["p_l"])
-            p_r = np.interp(tt, path["t"], path["p_r"])
-            fr = density._friction_at_shock(fan, x_s, p_l, p_r)
-            integrand = e * (zeta.d_t(x_s, tt) + c * zeta.d_x(x_s, tt)
+            fr = density._friction_at_shock(fan, x_s, path["p_l"], path["p_r"])
+            integrand = e * (zeta.d_t(x_s, tt) + path["c"] * zeta.d_x(x_s, tt)
                              - fr * zeta.value(x_s, tt))
             totals[j] += float(np.dot(ww, integrand))
     return [abs(total) for total in totals]
@@ -246,12 +221,12 @@ def _coverage_window(fan):
     return x_lo, x_hi
 
 
-def _path_excursion(path, t_lo, t_hi, x_ref):
-    tt = np.linspace(max(t_lo, float(path["t"][0])),
-                     min(t_hi, float(path["t"][-1])), 65)
+def _path_excursion(rec, t_lo, t_hi, x_ref):
+    lo, hi = rec.life
+    tt = np.linspace(max(t_lo, lo), min(t_hi, hi), 65)
     if tt[-1] <= tt[0]:
         return 0.0
-    return float(np.max(np.abs(np.interp(tt, path["t"], path["x"]) - x_ref)))
+    return float(np.max(np.abs(rec.at(tt)["x_s"] - x_ref)))
 
 
 def _bump_radius_x(x_c, excursion, x_lo, x_hi):
@@ -279,20 +254,17 @@ def identity_suite(gd, count, seed, levels=SUITE_LEVELS):
     t_hi_dom = float(fan.times[-1])
     x_lo, x_hi = _coverage_window(fan)
     span = x_hi - x_lo
-    live = [rec for rec in sorted(gd.shocks, key=lambda r: r.id)
-            if rec.times is not None and rec.times.size]
-    paths = {rec.id: _extended_path(gd, rec) for rec in live}
+    live = sorted(_tracked(gd), key=lambda r: r.id)
 
     bumps, kinds = [], []
     for rec in live:
-        path = paths[rec.id]
-        life = float(path["t"][-1]) - rec.t_birth
+        life = rec.life[1] - rec.t_birth
         if life <= 0:
             continue
         t_c = rec.t_birth + 0.6 * life
         r_t = 0.3 * life
-        x_c = float(np.interp(t_c, path["t"], path["x"]))
-        exc = _path_excursion(path, t_c - r_t, t_c + r_t, x_c)
+        x_c = rec.at(t_c)["x_s"]
+        exc = _path_excursion(rec, t_c - r_t, t_c + r_t, x_c)
         bumps.append(BumpTestFunction(
             x_c, t_c, _bump_radius_x(x_c, exc, x_lo, x_hi), r_t))
         kinds.append("shock")
@@ -308,8 +280,8 @@ def identity_suite(gd, count, seed, levels=SUITE_LEVELS):
         exc = 0.0
         for other in live:
             if other.id == rec.id or other.id in rec.parents:
-                exc = max(exc, _path_excursion(paths[other.id],
-                                               t_m - r_t, t_m + r_t, x_m))
+                exc = max(exc, _path_excursion(other, t_m - r_t, t_m + r_t,
+                                               x_m))
         bumps.append(BumpTestFunction(
             x_m, t_m, _bump_radius_x(x_m, exc, x_lo, x_hi), r_t))
         kinds.append("merge")
@@ -389,13 +361,10 @@ def hj_residual(slices, m, shocks=(), collar=3):
     for rec in shocks:
         if rec.times is None or rec.times.size == 0:
             continue
-        t_end = rec.t_end if rec.t_end is not None else float(rec.times[-1])
-        for i, t in enumerate(ts[1:-1]):
-            if rec.t_birth - dt <= t <= t_end + dt:
-                x_s = float(np.interp(t, rec.times, rec.x_s))
-                c = float(np.interp(t, rec.times, rec.c))
-                w = collar * (h + (1.0 + abs(c)) * dt)
-                keep[i] &= np.abs(x[1:-1] - x_s) > w
+        path = rec.at(ts[1:-1])
+        w = collar * (h + (1.0 + np.abs(path["c"])) * dt)
+        keep &= ~rec.alive(ts[1:-1], dt)[:, None] | (
+            np.abs(x[1:-1] - path["x_s"][:, None]) > w[:, None])
     if not np.any(keep):
         raise VerifyError("every interior node is masked by shock collars")
     return float(np.max(defect[keep]))

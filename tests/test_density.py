@@ -32,8 +32,9 @@ def test_transport_rows_closed_form(rarefaction_damped):
     assert np.all(fan.p == 0.0)
     np.testing.assert_allclose(fan.a_int, np.log(1.0 - t * np.exp(fan.x0)),
                                rtol=0, atol=1e-12)
-    R = density.transport_density(fan, rho0="exp(0-x)")
-    np.testing.assert_allclose(R, np.exp(-fan.x) + t, rtol=1e-12)
+    # the regular density at the stored rows of the last slice
+    R = density.build_density(fan, rho0="exp(0-x)").regular(0.5, fan.x[-1])
+    np.testing.assert_allclose(R, np.exp(-fan.x[-1]) + 0.5, rtol=1e-12)
 
 
 def test_regular_eval_closed_form(rarefaction_damped):
@@ -94,6 +95,52 @@ def test_shock_masses_listing(riemann_gd):
     assert abs(x_s) < 1e-6
     assert 0 < e < 2
     assert riemann_gd.shock_masses(0.01) == []
+
+
+def _old_extended_path(gd, rec):
+    """The whole-life path verify's line term read before shock records
+    knew their own ends, kept as the reference for `ShockRecord.knots`."""
+    by_id = {r.id: r for r in gd.shocks}
+    rows = [(rec.times, rec.x_s, rec.c, rec.e, rec.p_l, rec.p_r)]
+    if rec.t_birth < float(rec.times[0]) - 1e-15:
+        e0 = sum(by_id[i].e_end for i in rec.parents) if rec.parents else 0.0
+        rows.insert(0, (rec.t_birth, rec.x_birth, rec.c[0], e0,
+                        rec.p_l[0], rec.p_r[0]))
+    if rec.merged_into >= 0 and rec.t_end > float(rec.times[-1]) + 1e-15:
+        rows.append((rec.t_end, by_id[rec.merged_into].x_birth, rec.c[-1],
+                     rec.e_end, rec.p_l[-1], rec.p_r[-1]))
+    return {k: np.concatenate([np.atleast_1d(np.asarray(r[i], dtype=float))
+                               for r in rows])
+            for i, k in enumerate(("t", "x_s", "c", "e", "p_l", "p_r"))}
+
+
+@pytest.mark.parametrize("gd_name", ["riemann_gd", "kirchhoff_gd"])
+def test_shock_life_from_birth_to_handoff(gd_name, request):
+    gd = request.getfixturevalue(gd_name)
+    by_id = {rec.id: rec for rec in gd.shocks}
+    for rec in gd.shocks:
+        # born at the fold with no mass, or at a merge with the parents' sum;
+        # a birth within 1e-15 of the first sample is that sample
+        born = rec.at(rec.t_birth)
+        first = (rec.x_birth, rec.e_birth) if rec.life[0] < rec.times[0] \
+            else (rec.x_s[0], rec.e[0])
+        assert (born["x_s"], born["e"]) == first
+        assert rec.e_birth == sum(by_id[i].e_end for i in rec.parents)
+        if rec.merged_into >= 0:  # handed off at the child's birth point
+            end = rec.at(rec.t_end)
+            assert rec.t_end == by_id[rec.merged_into].t_birth
+            assert (end["x_s"], end["e"]) == (by_id[rec.merged_into].x_birth,
+                                              rec.e_end)
+        # a query inside the liveness tolerance before birth holds e = 0
+        assert all(e >= 0 for _, e in gd.shock_masses(rec.t_birth - 5e-13))
+        ref = _old_extended_path(gd, rec)
+        knots = rec.knots()
+        assert set(knots) == set(ref)
+        for name in ref:
+            np.testing.assert_array_equal(knots[name], ref[name])
+        for t in rec.times:
+            assert (np.interp(t, ref["t"], ref["x_s"]),
+                    np.interp(t, ref["t"], ref["e"])) in gd.shock_masses(t)
 
 
 def test_mass_balance_tanh(tanh_mass_gd):

@@ -8,7 +8,6 @@ from tunnelshock.expr import (
     UnknownNameError,
     evaluate,
     parse,
-    to_source,
 )
 
 
@@ -138,7 +137,7 @@ def test_roundtrip_random_trees():
     for _ in range(300):
         tree = _random_tree(rng, 3)
         e = expr.Expression("<synthetic>", tree, {"x", "t"})
-        text = to_source(e)
+        text = expr._unparse(e.ast, 0)
         reparsed = parse(text)
         for x, t in probes:
             try:
@@ -163,7 +162,7 @@ def test_roundtrip_fixed_cases():
         "2^3^2",
     ]:
         e = parse(src)
-        text = to_source(e)
+        text = expr._unparse(e.ast, 0)
         e2 = parse(text)
         for x, t in [(0.3, 0.7), (-1.2, 2.0)]:
             assert evaluate(e2, x=x, t=t) == evaluate(e, x=x, t=t)
