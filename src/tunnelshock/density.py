@@ -83,10 +83,13 @@ class GeneralizedDensity:
                 "branch_id": ess.branch_id}
 
     def shock_masses(self, t):
-        """(position, amplitude) of every shock alive at time t."""
+        """(position, amplitude) of every shock alive at time t.  A merged
+        parent stops counting at its handoff, where its child, born with
+        the parents' sum, takes over."""
         out = []
         for rec in self.shocks:
-            if rec.e is not None and rec.alive(t):
+            handed = rec.merged_into >= 0 and t >= rec.t_end - 1e-12
+            if rec.e is not None and rec.alive(t) and not handed:
                 vals = rec.at(t)
                 out.append((vals["x_s"], vals["e"]))
         return out

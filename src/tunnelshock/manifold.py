@@ -71,7 +71,8 @@ class Branch:
     def at(self, k, s):
         """(x, S, p, J, a_int) on a first axis, the label and dx/dx0 at
         fraction s of row interval k: cubic Hermites in x0 between the rows,
-        with the slopes of `_decompose`."""
+        with the slopes of `_decompose`.  It reads only the curve arrays
+        that every branch of the curve shares, so k may span branches."""
         x0, Y, D = self.data
         a, b = x0[k], x0[k + 1]
         ya, yb, fa, fb = (A.take(i, 1) for A in (Y, D) for i in (k, k + 1))
@@ -81,47 +82,77 @@ class Branch:
         return H, (1 - s) * a + s * b, dx
 
     def locate(self, x):
-        """Row interval k and fraction s of the label whose image is x.
-
-        Newton's method on the branch's monotone x(x0), kept inside the row
-        interval that brackets x by bisection.  A row's own x gives s = 0
-        (1 at the last row) exactly; s is NaN outside [x_lo, x_hi]."""
-        x0, Y, D = self.data
-        q = self.sign * np.asarray(x, dtype=float)
-        xs = self.sign * Y[0, self.rows]  # increasing
-        inside = (q >= xs[0]) & (q <= xs[-1])
-        q = np.where(inside, q, xs[0])
-        k = self.rows.start + np.minimum(
-            np.searchsorted(xs, q, side="right") - 1, xs.size - 2)
-        # sign * x - q on the row interval, a cubic c0 + ... + c3 s^3
-        ya, yb = self.sign * Y[0, k], self.sign * Y[0, k + 1]
-        h = self.sign * (x0[k + 1] - x0[k])
-        c0, c1, fb, d = ya - q, h * D[0, k], h * D[0, k + 1], yb - ya
-        c2 = 3 * d - 2 * c1 - fb
-        c3 = d - c1 - c2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # start from the Hermite of the inverse (reciprocal end slopes)
-            r = -c0 / d
-            s = np.minimum(np.maximum(r + r * (1 - r) * (
-                (1 - r) * (d / c1 - 1) - r * (d / fb - 1)), 0.0), 1.0)
-            lo, hi = 0.0, 1.0
-            for _ in range(60):
-                F = ((c3 * s + c2) * s + c1) * s + c0
-                hi = np.where(F > 0, s, hi)
-                lo = np.where(F < 0, s, lo)
-                new = s - F / ((3 * c3 * s + 2 * c2) * s + c1)
-                new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
-                step, s = np.abs(new - s).max(), new
-                if step <= 1e-15:
-                    break
-        return k, np.where(inside, np.where(q == yb, 1.0, s), np.nan)
+        """Row interval k and fraction s of the label whose image is x, in
+        the shape of x (see `_locate`)."""
+        k, s = _locate([(self, x)])
+        return k.reshape(np.shape(x)), s.reshape(np.shape(x))
 
     def values(self, x):
         """Every curve field at the points x, on a first axis that follows
         _CURVE_FIELDS; a point outside [x_lo, x_hi] gives NaN."""
-        H, lab, _ = self.at(*self.locate(x))
-        H[0] = lab
-        return H
+        return _values([(self, x)]).reshape((-1,) + np.shape(x))
+
+
+def _locate(queries):
+    """Row interval k and fraction s of the label whose image is x, for
+    every point x of every (branch, points) pair of `queries`, flat and in
+    pair order; the branches belong to one curve.
+
+    Newton's method on each branch's monotone x(x0), kept inside the row
+    interval that brackets x by bisection.  Each entry stops on its own
+    test, so its result does not depend on the batch it is located in.  A
+    row's own x gives s = 0 (1 at the last row) exactly; s is NaN outside
+    the branch's [x_lo, x_hi]."""
+    x0, Y, D = queries[0][0].data
+    parts = []
+    for b, x in queries:
+        q = b.sign * np.ravel(x).astype(float)
+        xs = b.sign * Y[0, b.rows]  # increasing
+        inside = (q >= xs[0]) & (q <= xs[-1])
+        q = np.where(inside, q, xs[0])
+        k = b.rows.start + np.minimum(
+            np.searchsorted(xs, q, side="right") - 1, xs.size - 2)
+        parts.append((q, k, inside, np.full(q.size, b.sign)))
+    q, k, inside, sign = (np.concatenate(a) for a in zip(*parts))
+    # sign * x - q on the row interval, a cubic c0 + ... + c3 s^3
+    ya, yb = sign * Y[0, k], sign * Y[0, k + 1]
+    h = sign * (x0[k + 1] - x0[k])
+    c0, c1, fb, d = ya - q, h * D[0, k], h * D[0, k + 1], yb - ya
+    c2 = 3 * d - 2 * c1 - fb
+    c3 = d - c1 - c2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # start from the Hermite of the inverse (reciprocal end slopes)
+        r = -c0 / d
+        s = np.minimum(np.maximum(r + r * (1 - r) * (
+            (1 - r) * (d / c1 - 1) - r * (d / fb - 1)), 0.0), 1.0)
+        out = s.copy()
+        # the working arrays hold only the entries still iterating
+        act = np.arange(s.size)
+        lo, hi = np.zeros(s.size), np.ones(s.size)
+        for _ in range(60):
+            F = ((c3 * s + c2) * s + c1) * s + c0
+            hi = np.where(F > 0, s, hi)
+            lo = np.where(F < 0, s, lo)
+            new = s - F / ((3 * c3 * s + 2 * c2) * s + c1)
+            new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+            out[act] = new
+            keep = ~(np.abs(new - s) <= 1e-15)
+            if not keep.all():
+                act, c0, c1, c2, c3, lo, hi, new = (
+                    a[keep] for a in (act, c0, c1, c2, c3, lo, hi, new))
+                if not act.size:
+                    break
+            s = new
+    return k, np.where(inside, np.where(q == yb, 1.0, out), np.nan)
+
+
+def _values(queries):
+    """Every curve field, on a first axis that follows _CURVE_FIELDS, at
+    every point of every (branch, points) pair of `queries` (branches of one
+    curve), flat and in pair order: one `_locate` and one Hermite call."""
+    H, lab, _ = queries[0][0].at(*_locate(queries))
+    H[0] = lab
+    return H
 
 
 @dataclass
@@ -230,16 +261,19 @@ class EssentialSolution:
 
 
 def essential(curve, x_grid):
-    """Branchwise minimal action over x_grid with deterministic tie rules."""
+    """Branchwise minimal action over x_grid with deterministic tie rules.
+
+    Every (branch, point) pair that a branch covers is located and
+    evaluated in one batch; the branches then compete in index order."""
     x = np.asarray(x_grid, dtype=float)
     best = np.full((len(_CURVE_FIELDS),) + x.shape, np.nan)  # field rows
     best[1] = np.inf
     best_b = np.full(x.shape, -1, dtype=int)
-    for b in curve.branches:
-        mask = b.covers(x)
-        if not np.any(mask):
-            continue
-        vals = b.values(x[mask])
+    covering = [(b, m) for b in curve.branches if np.any(m := b.covers(x))]
+    sizes = np.cumsum([np.count_nonzero(m) for _, m in covering])
+    pooled = np.split(_values([(b, x[m]) for b, m in covering]), sizes[:-1],
+                      axis=1) if covering else []
+    for (b, mask), vals in zip(covering, pooled):
         S_b, p_b = vals[1], vals[2]
         cur_S = best[1, mask]
         cur_p = best[2, mask]
@@ -443,7 +477,8 @@ class ShockRecord:
 def _essential_branches_near(curve, x, w):
     """Branches with minimal action at x - w and at x + w (the one-sided
     essential branches); where no branch covers a point, the branch whose
-    end is nearest to it.  Each branch is queried once, at both points."""
+    end is nearest to it.  The candidates are queried at both points in
+    one batch."""
     if not curve.branches:
         raise ManifoldError(f"no branches near x={x:g} at t={curve.t:g}")
     probes = np.array([x - w, x + w])
@@ -451,8 +486,9 @@ def _essential_branches_near(curve, x, w):
              or [min(curve.branches, key=lambda b: min(abs(b.x_lo - p),
                                                        abs(b.x_hi - p)))]
              for p in probes]
-    need = {b.index: b for c in cands if len(c) > 1 for b in c}
-    S = {i: b.values(probes)[1] for i, b in need.items()}
+    need = list({b.index: b for c in cands if len(c) > 1 for b in c}.values())
+    S = dict(zip((b.index for b in need), _values(
+        [(b, probes) for b in need])[1].reshape(-1, 2))) if need else {}
     return tuple(c[0] if len(c) == 1 else min(c, key=lambda b: S[b.index][j])
                  for j, c in enumerate(cands))
 
@@ -460,11 +496,15 @@ def _essential_branches_near(curve, x, w):
 def _equal_action_root(curve, x_guess, w0):
     """Solve S_left(x) = S_right(x) near x_guess; None if no transversal root.
 
-    Newton's method from x_guess, kept inside the bracket by bisection; the
-    slope of S_left - S_right is exactly p_left - p_right.  Returns the root,
-    both branches and their `values` rows there."""
+    Newton's method on the labels (a, b) of the two branches, for
+    x(a) = x(b) and S(a) = S(b): the Jacobian is exact through dx/dx0 = J
+    and dS/dx0 = p J, and each step is one Hermite call for both labels.
+    A step that leaves either branch's labels or the x-bracket, and every
+    step after the first 20, is a bisection of the bracket instead.
+    Returns the root, both branches and their `values` rows there."""
     if not curve.branches:
         return None
+    x0 = curve.x0
     for w in (w0, 2 * w0, 4 * w0, 8 * w0):
         bl, br = _essential_branches_near(curve, x_guess, w)
         if bl.index == br.index:
@@ -475,23 +515,44 @@ def _equal_action_root(curve, x_guess, w0):
         pad = 1e-12 * (1 + abs(hi - lo))
         lo, hi = lo + pad, hi - pad
         xs = np.array([lo, hi, min(max(x_guess, lo), hi)])
-        vl, vr = bl.values(xs), br.values(xs)
-        g = vl[1] - vr[1]
+        v = _values([(bl, xs), (br, xs)])
+        g = v[1, :3] - v[1, 3:]
         if not np.all(np.isfinite(g[:2])) or g[0] * g[1] > 0:
             continue
         j = 2 if g[0] * g[1] else int(g[1] == 0.0)  # an end can be the root
-        x, l, r = float(xs[j]), vl[:, j], vr[:, j]
-        while l[1] != r[1]:
-            lo, hi = (x, hi) if (l[1] > r[1]) == (g[0] > 0) else (lo, x)
+        x, rows = float(xs[j]), v[:, [j, j + 3]]
+        X = np.array([x, x])  # the image of each label
+        last = np.array([bl.rows.stop, br.rows.stop]) - 1
+        first = x0[[bl.rows.start, br.rows.start]]
+        tries = 20
+        while not (rows[1, 0] == rows[1, 1] and X[0] == X[1]):
+            # with both rows at x, the sign of the gap splits the bracket
+            if X[0] == X[1]:
+                lo, hi = ((x, hi) if (rows[1, 0] > rows[1, 1]) == (g[0] > 0)
+                          else (lo, x))
+            (xa, xb), (Sa, Sb), (pa, pb) = X, rows[1], rows[2]
             with np.errstate(divide="ignore", invalid="ignore"):
-                new = x - (l[1] - r[1]) / (l[2] - r[2])
-            if not lo < new < hi:
-                new = 0.5 * (lo + hi)
-            if abs(new - x) <= 1e-14 * (1 + abs(x)):
+                # the common image of the Newton step, then each label
+                new = xa - (Sa - Sb - pb * (xa - xb)) / (pa - pb)
+                lab = rows[0] + (new - X) / rows[3]
+            tol = 1e-14 * (1 + abs(x))
+            if np.all(np.abs(new - X) <= tol):
                 break
-            x = float(new)
-            l, r = bl.values(x), br.values(x)
-        return x, bl, br, l, r
+            if tries and lo < new < hi and np.all((lab >= first)
+                                                  & (lab <= x0[last])):
+                tries -= 1
+                k = np.minimum(np.searchsorted(x0, lab, side="right") - 1,
+                               last - 1)
+                rows = bl.at(k, (lab - x0[k]) / (x0[k + 1] - x0[k]))[0]
+                X, rows[0] = rows[0].copy(), lab
+            else:
+                new = 0.5 * (lo + hi)
+                if np.all(np.abs(new - X) <= tol):
+                    break
+                rows = _values([(bl, new), (br, new)])
+                X = np.array([new, new])
+            x = float(0.5 * (X[0] + X[1]))
+        return x, bl, br, rows[:, 0], rows[:, 1]
     return None
 
 
@@ -518,9 +579,9 @@ class _Tracker:
         self.root_mode = False
         self.merged_into = -1
 
-    def step(self, fan, curve):
+    def step(self, fan, curve, w0):
+        """Add the sample of this slice; w0 is the slice's probe width."""
         m = fan.symbol
-        w0 = 3 * np.median(np.abs(np.diff(curve.x))) + 1e-9
         hit = _equal_action_root(curve, self.x_prev, w0)
         if hit is not None:
             x_s, bl, br, *rows = hit
@@ -541,7 +602,8 @@ class _Tracker:
                 x_mid = x_s  # keep the (degenerate) root
             x_s = x_mid
             bl, br = _essential_branches_near(curve, x_s, w0)
-            rows = [b.values(np.clip(x_s, b.x_lo, b.x_hi)) for b in (bl, br)]
+            rows = _values([(b, np.clip(x_s, b.x_lo, b.x_hi))
+                            for b in (bl, br)]).T
         sl, sr = (dict(zip(_CURVE_FIELDS, v.tolist())) for v in rows)
         u_l = float(symbol.eval_dP_dp(m, x_s, sl["p"]))
         u_r = float(symbol.eval_dP_dp(m, x_s, sr["p"]))
@@ -615,8 +677,9 @@ def track_shocks(fan):
         if not live:
             continue
         curve = slice_fan(fan, t)
+        w0 = 3 * np.median(np.abs(np.diff(curve.x))) + 1e-9  # probe width
         for tr in live:
-            tr.step(fan, curve)
+            tr.step(fan, curve, w0)
         # merge detection: a pair ordered by the previous sample whose gap
         # has closed (or crossed) after this step
         merged_any = True
@@ -648,7 +711,7 @@ def track_shocks(fan):
                     a.samples.pop()
                     b.samples.pop()
                     child.x_prev = float(x_m)
-                    child.step(fan, curve)
+                    child.step(fan, curve, w0)
                     trackers.append(child)
                     live = [tr for tr in trackers
                             if tr.t_birth <= t + 1e-12 and tr.merged_into < 0]

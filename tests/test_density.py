@@ -287,6 +287,17 @@ def test_merge_adds_amplitudes(kirchhoff_gd):
     assert abs(rate - 4.0) < 4e-2
 
 
+def test_merge_on_a_stored_time_counts_once(kirchhoff_gd):
+    # the child is born on the stored time t = 1.0, where both parents
+    # hand off: only the child's mass counts there, so the balance closes
+    gd = kirchhoff_gd
+    child = next(r for r in gd.shocks if r.parents)
+    assert child.t_birth == 1.0
+    vals = child.at(1.0)
+    assert gd.shock_masses(1.0) == [(vals["x_s"], vals["e"])]
+    assert density.mass_balance(gd, 1.0)[3] <= 1e-9
+
+
 def test_transport_pde_residual(rarefaction_damped):
     # independent route: the constructed density satisfies the damped
     # conservation law R_t + (R u)_x + a R = 0, a = -e^x, in the smooth

@@ -105,6 +105,25 @@ def test_essential_tie_rules(tanh_fan):
     assert ess.branch_id[0] == 0
 
 
+@pytest.mark.parametrize("preset, t, x_span", [
+    ("tanh_fan", 1.5, 1.4), ("kirchhoff_gd", 1.0, 1.9)])
+def test_essential_answers_each_point_as_if_alone(preset, t, x_span, request):
+    # one batch locates every (branch, point) pair of the slice, and each
+    # entry stops on its own test: a pooled query equals one-point queries
+    # bit for bit, after the fold and next to the merge alike
+    fan = request.getfixturevalue(preset)
+    curve = manifold.slice_fan(getattr(fan, "fan", fan), t)
+    assert len(curve.branches) >= 3
+    xq = np.linspace(-x_span, x_span, 151)
+    pooled = manifold.essential(curve, xq)
+    names = ("S", "p", "u", "x0", "J", "a_int", "branch_id")
+    for i in range(xq.size):
+        alone = manifold.essential(curve, xq[i:i + 1])
+        for name in names:
+            assert np.array_equal(getattr(alone, name),
+                                  getattr(pooled, name)[i:i + 1]), (i, name)
+
+
 def test_essential_uncovered_raises(tanh_fan):
     curve = manifold.slice_fan(tanh_fan, 0.5)
     with pytest.raises(manifold.UncoveredPointError):
@@ -180,9 +199,9 @@ def test_speed_consistency_matches_old_loop(preset, request):
 
 @pytest.mark.parametrize("t", [1.2, 1.5])
 def test_equal_action_root_closes_the_action_gap(drift_fan, t):
-    # Newton on S_l - S_r with the exact slope p_l - p_r: the returned rows
-    # are the branches' values at the root, their actions agree, and a
-    # plain bisection of the same gap finds the same point
+    # Newton on the two one-sided labels: the returned rows are the
+    # branches' values at the root, their actions agree, and a plain
+    # bisection of the same gap finds the same point
     curve = manifold.slice_fan(drift_fan, t)
     x, bl, br, row_l, row_r = manifold._equal_action_root(
         curve, 0.5 * t + 0.02, 0.01)
@@ -201,6 +220,30 @@ def test_equal_action_root_closes_the_action_gap(drift_fan, t):
             hi = mid
     assert abs(x - 0.5 * (lo + hi)) <= 1e-12
     assert abs(x - 0.5 * t) < 1e-6
+
+
+@pytest.mark.parametrize("preset", ["riemann_gd", "kirchhoff_gd"])
+def test_equal_action_root_closes_the_action_gap_at_every_sample(
+        preset, request):
+    # the label-space Newton leaves both one-sided labels on the shock:
+    # read back through Branch.values at x_s, each branch returns its
+    # recorded label, and the two actions agree.  The one exception is a
+    # birth sample taken at the fold midpoint before the branches overlap
+    gd = request.getfixturevalue(preset)
+    for rec in gd.shocks:
+        for k, t in enumerate(rec.times):
+            curve = manifold.slice_fan(gd.fan, t)
+            labels = (rec.x0_l[k], rec.x0_r[k])
+            bl, br = (next(b for b in curve.branches
+                           if curve.x0[b.rows.start] <= lab
+                           <= curve.x0[b.rows.stop - 1]) for lab in labels)
+            if not (bl.covers(rec.x_s[k]) and br.covers(rec.x_s[k])):
+                assert k == 0 and not rec.parents
+                continue
+            rows = bl.values(rec.x_s[k]), br.values(rec.x_s[k])
+            for row, lab in zip(rows, labels):
+                assert abs(row[0] - lab) <= 1e-13 * (1 + abs(lab))
+            assert abs(rows[0][1] - rows[1][1]) <= 1e-13
 
 
 def test_shock_action_continuity(tanh_fan):
