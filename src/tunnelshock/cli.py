@@ -166,8 +166,7 @@ def _run_limit_study(sc, out, seed):
             "[regularization] epsilon: required for limit-study")
     study = regularize.limit_study(
         sc.m, sc.S0, sc.rho0, sc.eps_schedule, T=sc.T,
-        S0_prime=sc.S0_prime, betas=sc.betas, A_shift=sc.A_shift,
-        B_profile=sc.B_profile, x_box=(sc.x_min, sc.x_max),
+        S0_prime=sc.S0_prime, betas=sc.betas, x_box=(sc.x_min, sc.x_max),
         n_rows=sc.n_x0, h_t=sc.h_t, store_every=sc.store_every)
     write_csv(os.path.join(out, "limit_study.csv"),
               ("epsilon", "beta", "sup_R_error", "e_error_at_T",

@@ -123,9 +123,6 @@ class Expression:
         self.names = frozenset(names)
         self._dx = None  # d/dx, derived on first use by ``diff``
 
-    def __call__(self, **env):
-        return evaluate(self, **env)
-
     def __repr__(self):
         return f"Expression({self.source!r})"
 

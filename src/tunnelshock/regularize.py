@@ -42,7 +42,7 @@ class RegularizeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# blend profiles
+# blend profile B(z) = (1 + tanh z)/2, the logistic curve 1/(1 + exp(-2z))
 
 
 def _log_cosh(z):
@@ -50,39 +50,16 @@ def _log_cosh(z):
     return z + np.log1p(np.exp(-2.0 * z)) - math.log(2.0)
 
 
-def _softplus(y):
-    return np.maximum(y, 0.0) + np.log1p(np.exp(-np.abs(y)))
-
-
-def _tanh_blend(z):
-    return 0.5 * (1.0 + np.tanh(z))
-
-
-def _tanh_ramp_integral(z):
+def _ramp_integral(z):
     # antiderivative of 1 - B, vanishing at z = 0
     return 0.5 * (z - _log_cosh(z))
 
 
-def _logistic_blend(z):
-    return 1.0 / (1.0 + np.exp(-2.0 * np.clip(z, -350.0, 350.0)))
-
-
-def _logistic_ramp_integral(z):
-    return z - 0.5 * _softplus(2.0 * z) + 0.5 * math.log(2.0)
-
-
-PROFILES = {"tanh": _tanh_blend, "logistic": _logistic_blend}
-_RAMP_INTEGRALS = {"tanh": _tanh_ramp_integral,
-                   "logistic": _logistic_ramp_integral}
-
-
 @dataclass(frozen=True)
 class RegularizationParams:
-    """Window width, collar half-width, trajectory shift and blend shape."""
+    """Window width and collar half-width."""
     epsilon: float
     beta: float
-    A_shift: float = None       # None -> auto-tuned when the flow is built
-    B_profile: str = "tanh"
 
     def __post_init__(self):
         if not (self.epsilon > 0.0):
@@ -92,15 +69,6 @@ class RegularizationParams:
         if self.epsilon > self.beta ** 2 * (1.0 + 1e-12):
             raise RegularizeError(
                 "window width must satisfy epsilon <= beta**2")
-        if not isinstance(self.B_profile, str) \
-                or self.B_profile not in PROFILES:
-            raise RegularizeError(
-                f"unknown blend profile {self.B_profile!r}; "
-                f"choose from {sorted(PROFILES)}")
-
-    @property
-    def blend(self):
-        return PROFILES[self.B_profile]
 
 
 # ---------------------------------------------------------------------------
@@ -128,19 +96,12 @@ class Insertion:
     beta: float
     p_l0: float
     p_r0: float
-
-    def K(self):
-        v_l = float(eval_dP_dp(self.symbol, self.x0_star, self.p_l0))
-        v_r = float(eval_dP_dp(self.symbol, self.x0_star, self.p_r0))
-        return (v_l - v_r) / (2.0 * self.beta)
-
-    def b(self):
-        v_l = float(eval_dP_dp(self.symbol, self.x0_star, self.p_l0))
-        return v_l + self.K() * (self.x0_star - self.beta)
+    K: float
+    b: float
 
     def speed(self, x0):
         x0 = np.asarray(x0, dtype=float)
-        return -self.K() * x0 + self.b()
+        return -self.K * x0 + self.b
 
     def u1(self, x0):
         """Gradient data generating the straight-line speeds (root solve)."""
@@ -165,10 +126,14 @@ def build_insertion(m, u0, x0_star, beta):
     if not (beta > 0.0):
         raise RegularizeError("beta must be positive")
     u0 = _x_expression(u0, "u0")
-    x0_star = float(x0_star)
+    x0_star, beta = float(x0_star), float(beta)
     p_l0 = float(expr.evaluate_at(u0, x0_star - beta))
     p_r0 = float(expr.evaluate_at(u0, x0_star + beta))
-    ins = Insertion(m, x0_star, float(beta), p_l0, p_r0)
+    v_l = float(eval_dP_dp(m, x0_star, p_l0))
+    v_r = float(eval_dP_dp(m, x0_star, p_r0))
+    K = (v_l - v_r) / (2.0 * beta)
+    b = v_l + K * (x0_star - beta)
+    ins = Insertion(m, x0_star, beta, p_l0, p_r0, K, b)
     ins.u1(np.array([x0_star - beta, x0_star, x0_star + beta]))  # solvable
     return ins
 
@@ -177,17 +142,22 @@ def build_insertion(m, u0, x0_star, beta):
 # blended flow
 
 
-def _window_integral(params, t_star):
+def _window_integral(eps, t_star):
     """W(t) = integral_0^t (1 - B((s - t*)/eps)) ds as a vectorized callable,
-    from the closed-form ramp integral of the named blend profile."""
-    eps = params.epsilon
-    G = _RAMP_INTEGRALS[params.B_profile]
-    g0 = G((0.0 - t_star) / eps)
+    from the closed-form ramp integral."""
+    g0 = _ramp_integral((0.0 - t_star) / eps)
 
     def W(t):
-        return eps * (G((np.asarray(t, dtype=float) - t_star) / eps) - g0)
+        return eps * (_ramp_integral((np.asarray(t, dtype=float) - t_star)
+                                     / eps) - g0)
 
     return W
+
+
+def _collar_x(lab, speed, t, w, shift, c):
+    """Collar trajectory: shifted label, insertion speed over the window
+    integral w = W(t), plateau speed c for the rest of the time."""
+    return lab + shift + w * speed + (t - w) * c
 
 
 def _first_crossing(labs, vs, edge_fn, sign, T):
@@ -224,7 +194,6 @@ def _first_crossing(labs, vs, edge_fn, sign, T):
 @dataclass
 class BlendedFlow:
     """Closed-form trajectory family of the blended system on a label grid."""
-    symbol: object
     insertion: Insertion
     params: RegularizationParams
     t_star: float
@@ -233,19 +202,17 @@ class BlendedFlow:
     A_shift: float
     x0: np.ndarray
     inside: np.ndarray
-    p0: np.ndarray
     v: np.ndarray
     vprime: np.ndarray
     t_abs: np.ndarray
-    monotone: bool
     min_inside_J_after: float
     window: object = field(repr=False, default=None)
 
     def _collar_positions(self, t, lab):
         """Collar labels riding the insertion, blended into the plateau."""
-        w = float(self.window(t))
-        return lab + self.A_shift * self.params.epsilon \
-            + w * self.insertion.speed(lab) + (t - w) * self.c
+        return _collar_x(lab, self.insertion.speed(lab), t,
+                         float(self.window(t)),
+                         self.A_shift * self.params.epsilon, self.c)
 
     def positions(self, t):
         t = float(t)
@@ -264,7 +231,7 @@ class BlendedFlow:
         return float(pos[0]), float(pos[1])
 
     def inside_jacobian(self, t):
-        return 1.0 - self.insertion.K() * float(self.window(t))
+        return 1.0 - self.insertion.K * float(self.window(t))
 
     def jacobians(self, t):
         t = float(t)
@@ -284,8 +251,8 @@ def blended_fan(m, u0, params, T, x0_star, t_star,
     Collar rows follow the straight-line insertion until the window around
     the focusing time opens, then ride at the plateau speed; outer rows run
     plainly and freeze onto the collar's edge when they reach it.  The
-    initial collar shift is auto-tuned (smallest value in [0, 100] keeping
-    the flow map strictly increasing) unless params.A_shift pins it.
+    initial collar shift is auto-tuned: the smallest value in [0, 100]
+    keeping the flow map strictly increasing.
     """
     if not m.spatially_homogeneous:
         raise RegularizeError(
@@ -300,7 +267,7 @@ def blended_fan(m, u0, params, T, x0_star, t_star,
         raise RegularizeError("collar sticks out of the label box")
 
     ins = build_insertion(m, u0, x0_star, beta)
-    K = ins.K()
+    K = ins.K
     if not K > 0.0:
         raise RegularizeError(
             f"the data do not compress across the collar around "
@@ -316,7 +283,7 @@ def blended_fan(m, u0, params, T, x0_star, t_star,
     # dv/dx0 = P_pp * u0' for a spatially homogeneous symbol
     vprime = eval_hess(m, lab, p0) * expr.evaluate_at(expr.diff(u0), lab)
     c = float(symbol.jump_speed(m, x0_star, ins.p_l0, ins.p_r0))
-    W = _window_integral(params, t_star)
+    W = _window_integral(eps, t_star)
     s_l = float(ins.speed(edge_l))
     s_r = float(ins.speed(edge_r))
     j_after = min(1.0 - K * float(W(t_star)), 1.0 - K * float(W(T)))
@@ -331,10 +298,7 @@ def blended_fan(m, u0, params, T, x0_star, t_star,
 
     def absorption(A):
         def edge_path(edge, s_e):  # as BlendedFlow.edge_positions, over t
-            def x_e(t):
-                w = W(t)
-                return edge + A * eps + w * s_e + (t - w) * c
-            return x_e
+            return lambda t: _collar_x(edge, s_e, t, W(t), A * eps, c)
 
         t_abs = np.full(lab.shape, np.inf)
         for rows, edge, s_e, sign in ((left, edge_l, s_l, +1.0),
@@ -352,43 +316,37 @@ def blended_fan(m, u0, params, T, x0_star, t_star,
         for t in chk:
             w = float(W(t))
             x = lab + t * v
-            x[inside] = lab[inside] + off + w * s_in + (t - w) * c
+            x[inside] = _collar_x(lab[inside], s_in, t, w, off, c)
             keep = inside | (t < t_abs)
             if np.any(np.diff(x[keep]) <= 0.0):
                 return False
         return True
 
-    if params.A_shift is not None:
-        A = float(params.A_shift)
-        t_abs = absorption(A)
-        mono = is_monotone(A, t_abs) and j_after > 0.0
-    else:
-        A, t_abs, mono = None, None, False
-        prev_bad = 0.0
-        if j_after > 0.0:
-            for cand in SHIFT_SCAN:
-                ta = absorption(cand)
-                if is_monotone(cand, ta):
-                    A, t_abs, mono = cand, ta, True
-                    break
-                prev_bad = cand
-        if A is None:
-            raise RegularizeError(
-                "no collar shift in [0, 100] keeps the blended flow "
-                "one-to-one with a positive Jacobian")
-        if A > 0.0:
-            lo, hi = prev_bad, A
-            for _ in range(20):
-                mid = 0.5 * (lo + hi)
-                ta = absorption(mid)
-                if is_monotone(mid, ta):
-                    hi, A, t_abs = mid, mid, ta
-                else:
-                    lo = mid
+    A, t_abs, prev_bad = None, None, 0.0
+    if j_after > 0.0:
+        for cand in SHIFT_SCAN:
+            ta = absorption(cand)
+            if is_monotone(cand, ta):
+                A, t_abs = cand, ta
+                break
+            prev_bad = cand
+    if A is None:
+        raise RegularizeError(
+            "no collar shift in [0, 100] keeps the blended flow "
+            "one-to-one with a positive Jacobian")
+    if A > 0.0:
+        lo, hi = prev_bad, A
+        for _ in range(20):
+            mid = 0.5 * (lo + hi)
+            ta = absorption(mid)
+            if is_monotone(mid, ta):
+                hi, A, t_abs = mid, mid, ta
+            else:
+                lo = mid
     return BlendedFlow(
-        symbol=m, insertion=ins, params=params, t_star=t_star, T=float(T),
-        c=c, A_shift=A, x0=lab, inside=inside, p0=p0, v=v, vprime=vprime,
-        t_abs=t_abs, monotone=mono, min_inside_J_after=j_after, window=W)
+        insertion=ins, params=params, t_star=t_star, T=float(T), c=c,
+        A_shift=A, x0=lab, inside=inside, v=v, vprime=vprime, t_abs=t_abs,
+        min_inside_J_after=j_after, window=W)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +415,6 @@ class LimitStudy:
 
 
 def limit_study(m, S0, rho0, eps_schedule, T, S0_prime=None, betas=None,
-                A_shift=None, B_profile="tanh",
                 x_box=(-3.0, 3.0), n_rows=2401, h_t=2.5e-3, store_every=2):
     """Compare blended flows across a shrinking window schedule.
 
@@ -477,6 +434,8 @@ def limit_study(m, S0, rho0, eps_schedule, T, S0_prime=None, betas=None,
         else tuple(float(b) for b in betas)
     if len(betas) != len(eps):
         raise RegularizeError("betas must match the schedule length")
+    # every (epsilon, beta) pair is checked before any fan is integrated
+    schedule = [RegularizationParams(e, b) for e, b in zip(eps, betas)]
     rho0 = _x_expression(rho0, "rho0")
     u0 = expr.diff(expr.as_expression(S0, ("x",))) if S0_prime is None \
         else _x_expression(S0_prime, "S0_prime")
@@ -524,14 +483,9 @@ def limit_study(m, S0, rho0, eps_schedule, T, S0_prime=None, betas=None,
         j_floors = [j_min / e_i for e_i in eps]
     else:
         sup_errs, e_errs, j_floors = [], [], []
-        for e_i, b_i in zip(eps, betas):
-            params = RegularizationParams(e_i, b_i, A_shift, B_profile)
+        for params in schedule:
             flow = blended_fan(m, u0, params, T, x0_star, t_star,
                                x_box, n_rows)
-            if not flow.monotone:
-                warnings.warn(
-                    f"blended flow map not one-to-one at eps={e_i:g}",
-                    RuntimeWarning, stacklevel=2)
             sup = 0.0
             for t, R_t, x_out in zip(ts, R_ref, outer):
                 act = flow.active(t)
@@ -542,7 +496,7 @@ def limit_study(m, S0, rho0, eps_schedule, T, S0_prime=None, betas=None,
                 sup = max(sup, float(np.max(np.abs(R_eps - R_t))))
             sup_errs.append(sup)
             e_errs.append(abs(_plateau_mass(flow, rho0, T) - e_ref_T))
-            j_floors.append(flow.min_inside_J_after / e_i)
+            j_floors.append(flow.min_inside_J_after / params.epsilon)
 
     mono_R = _strictly_decreasing(sup_errs)
     mono_e = _strictly_decreasing(e_errs)

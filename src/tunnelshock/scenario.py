@@ -19,10 +19,13 @@ _SECTIONS = {
     "initial": ("S0", "S0_prime", "phi0", "rho0"),
     "domain": ("x_min", "x_max", "n_x0", "T", "h_t", "store_every"),
     "tunnel": ("h", "dx", "w_min", "w_max"),
-    "regularization": ("epsilon", "beta", "B_profile", "A_shift"),
+    "regularization": ("epsilon", "beta", "B_profile"),
     "verify": ("bumps", "seed"),
     "output": ("dir",),
 }
+
+# two names of one blend curve: (1 + tanh z)/2 = 1/(1 + exp(-2z))
+_BLEND_PROFILES = ("logistic", "tanh")
 
 _REQUIRED = (("initial", "S0"), ("domain", "x_min"), ("domain", "x_max"),
              ("domain", "n_x0"), ("domain", "T"), ("domain", "h_t"))
@@ -50,8 +53,6 @@ class Scenario:
     window: tuple
     eps_schedule: tuple
     betas: object             # tuple or None
-    B_profile: str
-    A_shift: object           # float or None
     bumps: int
     seed: int
     out_dir: object           # str or None
@@ -217,21 +218,16 @@ def load(path):
         if len(betas) != len(eps_schedule):
             _fail("regularization", "beta",
                   "must match the epsilon schedule length")
-        if any(b <= 0 for b in betas):
-            _fail("regularization", "beta", "half-widths must be positive")
-        # with the tolerance of regularize.RegularizationParams
-        if any(e > b ** 2 * (1.0 + 1e-12)
-               for e, b in zip(eps_schedule, betas)):
-            _fail("regularization", "beta",
-                  "window widths must satisfy epsilon <= beta^2")
+        for e, b in zip(eps_schedule, betas):
+            try:
+                regularize.RegularizationParams(e, b)
+            except regularize.RegularizeError as ex:
+                _fail("regularization", "beta", str(ex))
     B_profile = get("regularization", "B_profile", "tanh")
-    if B_profile not in regularize.PROFILES:
+    if B_profile not in _BLEND_PROFILES:
         _fail("regularization", "B_profile",
               f"unknown blend profile {B_profile!r}; "
-              f"choose from {sorted(regularize.PROFILES)}")
-    A_shift = get("regularization", "A_shift")
-    if A_shift is not None:
-        A_shift = _float("regularization", "A_shift", A_shift)
+              f"choose from {list(_BLEND_PROFILES)}")
 
     # -- verify / output --------------------------------------------------
     bumps = _int("verify", "bumps", get("verify", "bumps", "12"))
@@ -248,6 +244,6 @@ def load(path):
         x_min=x_min, x_max=x_max, n_x0=n_x0, T=T, h_t=h_t,
         store_every=store_every, h_schedule=h_schedule,
         lattice_dx=lattice_dx, window=(w_min, w_max),
-        eps_schedule=eps_schedule, betas=betas, B_profile=B_profile,
-        A_shift=A_shift, bumps=bumps, seed=seed, out_dir=out_dir,
+        eps_schedule=eps_schedule, betas=betas, bumps=bumps, seed=seed,
+        out_dir=out_dir,
         sections=sections, sha256=sha)

@@ -207,7 +207,8 @@ def test_exit_codes(tmp_path, capsys):
     for name, extra, key in (
             ("profile", "epsilon = 1e-2\nB_profile = cubic", "B_profile"),
             ("beta_sign", "epsilon = 1e-2\nbeta = -0.1", "beta"),
-            ("beta_small", "epsilon = 1e-2\nbeta = 0.05", "beta")):
+            ("beta_small", "epsilon = 1e-2\nbeta = 0.05", "beta"),
+            ("shift", "epsilon = 1e-2\nA_shift = 0", "A_shift")):
         bad = write_ini(tmp_path, MINIMAL + "\n[regularization]\n" + extra,
                         f"{name}.ini")
         assert cli.main(["limit-study", "--scenario", bad]) == 2

@@ -31,38 +31,34 @@ def test_params_validation():
         regularize.RegularizationParams(1e-2, -0.1)
     with pytest.raises(regularize.RegularizeError):
         regularize.RegularizationParams(1e-2, 0.05)  # eps > beta**2
-    with pytest.raises(regularize.RegularizeError):
-        regularize.RegularizationParams(1e-2, 0.1, B_profile="cubic")
 
-    def dipping(z):
-        z = np.asarray(z, dtype=float)
-        return 0.5 * (1.0 + np.tanh(z)) - 0.35 * np.exp(-4.0 * (z - 1.0) ** 2)
 
-    with pytest.raises(regularize.RegularizeError):
-        regularize.RegularizationParams(1e-2, 0.1, B_profile=dipping)
+def _softplus(y):
+    return np.maximum(y, 0.0) + np.log1p(np.exp(-np.abs(y)))
 
 
 def test_blend_profiles_ramp():
-    for name in ("tanh", "logistic"):
-        pars = regularize.RegularizationParams(1e-2, 0.1, B_profile=name)
-        B = pars.blend
-        assert B(-40.0) < 1e-9
-        assert B(40.0) > 1.0 - 1e-9
-        z = np.linspace(-6.0, 6.0, 101)
-        assert np.all(np.diff(B(z)) > 0.0)
-        # the closed-form window integral has derivative 1 - B
-        W = regularize._window_integral(pars, 0.3)
-        t = np.linspace(0.0, 1.0, 201)
-        h = 1e-6
-        dW = (W(t + h) - W(t - h)) / (2.0 * h)
-        assert abs(float(W(0.0))) < 1e-15
-        assert np.max(np.abs(dW - (1.0 - B((t - 0.3) / pars.epsilon)))) < 1e-6
+    eps, t_star = 1e-2, 0.3
+    # the closed-form window integral has derivative 1 - B with the blend
+    # B(z) = (1 + tanh z)/2
+    W = regularize._window_integral(eps, t_star)
+    t = np.linspace(0.0, 1.0, 201)
+    h = 1e-6
+    dW = (W(t + h) - W(t - h)) / (2.0 * h)
+    assert abs(float(W(0.0))) < 1e-15
+    B = 0.5 * (1.0 + np.tanh((t - t_star) / eps))
+    assert np.max(np.abs(dW - (1.0 - B))) < 1e-6
+    # B is also the logistic curve 1/(1 + exp(-2z)): the ramp integral
+    # equals the logistic form z - softplus(2z)/2 + log(2)/2
+    z = np.linspace(-40.0, 40.0, 2001)
+    logistic = z - 0.5 * _softplus(2.0 * z) + 0.5 * math.log(2.0)
+    assert np.max(np.abs(regularize._ramp_integral(z) - logistic)) < 1e-14
 
 
 def test_insertion_linear_data_focuses_exactly(m_burgers):
     ins = regularize.build_insertion(m_burgers, "0-x", 0.0, 0.1)
-    assert abs(ins.K() - 1.0) < 1e-12
-    assert abs(ins.b()) < 1e-12
+    assert abs(ins.K - 1.0) < 1e-12
+    assert abs(ins.b) < 1e-12
     # matched speeds at the collar edges, linear in between
     assert abs(ins.speed(-0.1) - 0.1) < 1e-12
     assert abs(float(ins.u1(0.05)) + 0.05) < 1e-10
@@ -71,15 +67,15 @@ def test_insertion_linear_data_focuses_exactly(m_burgers):
 def test_insertion_chord_slope_tanh(m_burgers):
     beta = 0.1
     ins = regularize.build_insertion(m_burgers, "0-tanh(2*x)", 0.0, beta)
-    assert abs(ins.K() - np.tanh(2 * beta) / beta) < 1e-12
+    assert abs(ins.K - np.tanh(2 * beta) / beta) < 1e-12
     # the chord is flatter than the steepest tangent (slope 2): the collar
     # focuses at 1/K, after the fold at t = 0.5
-    assert ins.K() < 2.0
+    assert ins.K < 2.0
 
 
 def test_insertion_jump_symbol_roundtrip_and_range_error(m_jump):
     ins = regularize.build_insertion(m_jump, "0-x", 0.0, 0.1)
-    assert abs(ins.K() - np.sinh(0.1) / 0.1) < 1e-12
+    assert abs(ins.K - np.sinh(0.1) / 0.1) < 1e-12
     for x0 in (-0.08, 0.0, 0.05):
         p1 = float(ins.u1(x0))
         assert abs(np.exp(p1) - ins.speed(x0)) < 1e-9
@@ -212,7 +208,6 @@ def test_blended_flow_jacobian_floor_and_shift(m_burgers):
     bf = regularize.blended_fan(m_burgers, "0-tanh(x)", params, 1.5,
                                 0.0, 1.0)
     assert bf.A_shift == 0.0
-    assert bf.monotone
     ratio = bf.min_inside_J_after / params.epsilon
     assert 0.03 < ratio < 30.0
     # the interior Jacobian is the window integral: decreasing to its floor
@@ -272,9 +267,21 @@ def test_limit_study_riemann_mass_rate(m_burgers):
     assert ls.monotone_e
 
 
-def test_limit_study_rejects_bad_schedule(m_burgers):
+def test_limit_study_rejects_bad_schedule(m_burgers, monkeypatch):
     with pytest.raises(regularize.RegularizeError):
         regularize.limit_study(m_burgers, "x^2/2", "1", (1e-3, 1e-2), T=1.0)
     with pytest.raises(regularize.RegularizeError):
         regularize.limit_study(m_burgers, "x^2/2", "1", (1e-2, 2.5e-3),
                                T=1.0, betas=(0.05,))
+
+    # epsilon > beta**2 is refused before any fan is integrated, whether
+    # or not the data ever shock
+    def no_fan(*args, **kwargs):
+        raise AssertionError("the fan was integrated")
+
+    monkeypatch.setattr(characteristics, "integrate_fan", no_fan)
+    for S0, S0_prime in (("x^2/2", None),
+                         ("log(sech(2*x))/2", "0-tanh(2*x)")):
+        with pytest.raises(regularize.RegularizeError, match="beta"):
+            regularize.limit_study(m_burgers, S0, "1", (1e-2,), T=1.0,
+                                   S0_prime=S0_prime, betas=(0.05,))
