@@ -44,6 +44,10 @@ class Fan:
     a_int: np.ndarray
     h_t: float
     rhs: object = field(default=None, repr=False)
+    # caches: init=False gives a `dataclasses.replace` copy empty ones
+    _node_rhs_cache: dict = field(default_factory=dict, init=False, repr=False)
+    _slice_cache: dict = field(default_factory=dict, init=False, repr=False)
+    _label_stencil: tuple = field(default=None, init=False, repr=False)
 
     @property
     def n_rows(self):
@@ -60,10 +64,7 @@ class Fan:
 
     def node_rhs(self, k):
         """Time derivatives of the stored state at node k (cached)."""
-        cache = getattr(self, "_node_rhs_cache", None)
-        if cache is None:
-            cache = {}
-            self._node_rhs_cache = cache
+        cache = self._node_rhs_cache
         if k not in cache:
             y = np.stack([getattr(self, f)[k] for f in _FIELDS])
             cache[k] = dict(zip(_FIELDS, self.rhs(y)))

@@ -13,9 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import characteristics, symbol
+from . import characteristics, roots, symbol
 
 TIE_TOL = 1e-9  # action ties resolved toward smaller |p|, then branch index
+P_GAP = 1e-4  # a momentum jump |p_l - p_r| above this is resolved
+LAX_TOL = 1e-10  # Lax inequalities where the jump is resolved
+SPEED_TOL = 1e-3  # path speed against the jump quotient, relative
 
 
 class ManifoldError(ValueError):
@@ -98,11 +101,9 @@ def _locate(queries):
     every point x of every (branch, points) pair of `queries`, flat and in
     pair order; the branches belong to one curve.
 
-    Newton's method on each branch's monotone x(x0), kept inside the row
-    interval that brackets x by bisection.  Each entry stops on its own
-    test, so its result does not depend on the batch it is located in.  A
-    row's own x gives s = 0 (1 at the last row) exactly; s is NaN outside
-    the branch's [x_lo, x_hi]."""
+    Safeguarded Newton (`roots.newton`) on each branch's monotone x(x0),
+    inside the row interval that brackets x.  A row's own x gives s = 0 (1
+    at the last row) exactly; s is NaN outside the branch's [x_lo, x_hi]."""
     x0, Y, D = queries[0][0].data
     parts = []
     for b, x in queries:
@@ -125,24 +126,12 @@ def _locate(queries):
         r = -c0 / d
         s = np.minimum(np.maximum(r + r * (1 - r) * (
             (1 - r) * (d / c1 - 1) - r * (d / fb - 1)), 0.0), 1.0)
-        out = s.copy()
-        # the working arrays hold only the entries still iterating
-        act = np.arange(s.size)
-        lo, hi = np.zeros(s.size), np.ones(s.size)
-        for _ in range(60):
-            F = ((c3 * s + c2) * s + c1) * s + c0
-            hi = np.where(F > 0, s, hi)
-            lo = np.where(F < 0, s, lo)
-            new = s - F / ((3 * c3 * s + 2 * c2) * s + c1)
-            new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
-            out[act] = new
-            keep = ~(np.abs(new - s) <= 1e-15)
-            if not keep.all():
-                act, c0, c1, c2, c3, lo, hi, new = (
-                    a[keep] for a in (act, c0, c1, c2, c3, lo, hi, new))
-                if not act.size:
-                    break
-            s = new
+
+    def cubic(s, c0, c1, c2, c3):
+        return (((c3 * s + c2) * s + c1) * s + c0,
+                (3 * c3 * s + 2 * c2) * s + c1)
+
+    out = roots.newton(cubic, s, 0.0, 1.0, (c0, c1, c2, c3), 60)
     return k, np.where(inside, np.where(q == yb, 1.0, out), np.nan)
 
 
@@ -222,7 +211,7 @@ def _curve_from_state(fan, t, state):
         t=float(t), symbol=fan.symbol, x0=fan.x0, x=state["x"], p=state["p"],
         S=state["S"], J=state["J"], dp=state["dp"], a_int=state["a_int"])
     # every slice of a fan shares its labels, so the stencil is cached
-    if getattr(fan, "_label_stencil", None) is None:
+    if fan._label_stencil is None:
         fan._label_stencil = _label_stencil(fan.x0)
     return _decompose(curve, fan._label_stencil)
 
@@ -230,10 +219,7 @@ def _curve_from_state(fan, t, state):
 def slice_fan(fan, t):
     """Curve at a stored time node (cached on the fan)."""
     i = fan.index_of_time(t)
-    cache = getattr(fan, "_slice_cache", None)
-    if cache is None:
-        cache = {}
-        fan._slice_cache = cache
+    cache = fan._slice_cache
     if i not in cache:
         cache[i] = _curve_from_state(fan, fan.times[i], fan.state(i))
     return cache[i]
@@ -320,14 +306,8 @@ def _cross_times_rows(fan, rows, k):
     Jb = fan.J[k, rows]
     fa = fan.node_rhs(k - 1)["J"][rows]
     fb = fan.node_rhs(k)["J"][rows]
-    ta = np.full(rows.size, t0)
-    tb = np.full(rows.size, t1)
-    for _ in range(60):
-        tm = 0.5 * (ta + tb)
-        Jm = characteristics._cubic_hermite((tm - t0) / h, h, Ja, Jb, fa, fb)
-        pos = Jm > 0
-        ta = np.where(pos, tm, ta)
-        tb = np.where(pos, tb, tm)
+    ta, tb = roots.bisect(lambda t: characteristics._cubic_hermite(
+        (t - t0) / h, h, Ja, Jb, fa, fb) > 0, np.full(rows.size, t0), t1, 60)
     out = 0.5 * (ta + tb)
     out[Ja <= 0] = t0
     return out
@@ -628,16 +608,16 @@ class _Tracker:
         return rec
 
 
-def check_admissibility(rec, tol=1e-10, p_gap=1e-4):
+def check_admissibility(rec):
     """Lax inequalities u_l >= c >= u_r at every path sample.
 
-    Strict (tolerance tol) where the momentum jump is resolved; right at
-    birth the one-sided states coincide and the discrete path speed only
+    Strict (tolerance LAX_TOL) where the momentum jump is resolved; right
+    at birth the one-sided states coincide and the discrete path speed only
     carries first-order accuracy, so unresolved samples get a slack tied to
     the jump magnitude instead.
     """
-    resolved = np.abs(rec.p_l - rec.p_r) > p_gap
-    slack = np.where(resolved, tol, tol + 1e-2 * (1.0 + np.abs(rec.c)))
+    resolved = np.abs(rec.p_l - rec.p_r) > P_GAP
+    slack = np.where(resolved, LAX_TOL, LAX_TOL + 1e-2 * (1.0 + np.abs(rec.c)))
     bad = (rec.u_l - rec.c < -slack) | (rec.c - rec.u_r < -slack)
     if np.any(bad):
         k = int(np.nonzero(bad)[0][0])
@@ -646,15 +626,15 @@ def check_admissibility(rec, tol=1e-10, p_gap=1e-4):
             f"(u_l={rec.u_l[k]:.6g}, c={rec.c[k]:.6g}, u_r={rec.u_r[k]:.6g})")
 
 
-def check_speed_consistency(rec, m, tol=1e-3, p_gap=1e-4):
-    """|c - [P]/[p]| <= tol*(1+|c|) wherever the momentum jump is resolved."""
-    k = np.abs(rec.p_l - rec.p_r) >= p_gap
+def check_speed_consistency(rec, m):
+    """|c - [P]/[p]| <= SPEED_TOL*(1+|c|) where the jump is resolved."""
+    k = np.abs(rec.p_l - rec.p_r) > P_GAP
     rh = symbol.jump_speed(m, rec.x_s[k], rec.p_l[k], rec.p_r[k])
     c = rec.c[k]
     worst = float(np.max(np.abs(c - rh) / (1.0 + np.abs(c)), initial=0.0))
-    if worst > tol:
+    if worst > SPEED_TOL:
         raise ManifoldError(f"shock {rec.id}: speed deviates from the jump "
-                            f"quotient by {worst:.3e} (> {tol:g})")
+                            f"quotient by {worst:.3e} (> {SPEED_TOL:g})")
     return worst
 
 

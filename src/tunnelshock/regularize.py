@@ -19,6 +19,7 @@ import numpy as np
 from . import characteristics
 from . import density
 from . import expr
+from . import roots
 from . import symbol
 # bench/tracing.py wraps these by-name imports; eval_P and eval_dP_dx are
 # unused here
@@ -180,13 +181,9 @@ def _first_crossing(labs, vs, edge_fn, sign, T):
     t_abs[rows[immediate]] = 0.0
     solve = rows[~immediate]
     k = k[~immediate]
-    lo, hi = tg[k - 1], tg[k]
     lv, vv = labs[solve], vs[solve]
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        above = sign * (lv + mid * vv - edge_fn(mid)) >= 0.0
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
+    lo, hi = roots.bisect(lambda t: sign * (lv + t * vv - edge_fn(t)) < 0.0,
+                          tg[k - 1], tg[k], 48)
     t_abs[solve] = 0.5 * (lo + hi)
     return t_abs
 
@@ -335,14 +332,9 @@ def blended_fan(m, u0, params, T, x0_star, t_star,
             "no collar shift in [0, 100] keeps the blended flow "
             "one-to-one with a positive Jacobian")
     if A > 0.0:
-        lo, hi = prev_bad, A
-        for _ in range(20):
-            mid = 0.5 * (lo + hi)
-            ta = absorption(mid)
-            if is_monotone(mid, ta):
-                hi, A, t_abs = mid, mid, ta
-            else:
-                lo = mid
+        A = float(roots.bisect(
+            lambda s: not is_monotone(s, absorption(s)), prev_bad, A, 20)[1])
+        t_abs = absorption(A)
     return BlendedFlow(
         insertion=ins, params=params, t_star=t_star, T=float(T), c=c,
         A_shift=A, x0=lab, inside=inside, v=v, vprime=vprime, t_abs=t_abs,

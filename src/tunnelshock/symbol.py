@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import expr
+from . import expr, roots
 
 P_BOX = (-20.0, 20.0)  # momentum working box for root solves
 EXP_GUARD = 700.0  # |p*nu| beyond this would overflow exp
@@ -149,12 +149,12 @@ def jump_speed(m, x, p_l, p_r):
 
 
 def legendre_batch(m, x, v):
-    """Vectorized safeguarded Newton for dP/dp = v on the momentum box.
+    """Solve dP/dp = v on the momentum box for every entry, each as if
+    alone (`roots.newton`).
 
     Returns (p_star, L) with L = v*p_star - P(x, p_star).  Entries whose
     velocity is not attained on the box are returned as NaN in both outputs;
-    scalar callers turn that into NoRootError.  Each entry stops on its own
-    test, so its result does not depend on the batch it is solved in.
+    scalar callers turn that into NoRootError.
     """
     v = np.asarray(v, dtype=float)
     scalar = v.ndim == 0
@@ -165,32 +165,13 @@ def legendre_batch(m, x, v):
     g_hi = eval_dP_dp(m, x_arr, np.full_like(v, P_BOX[1])) - v
     ok = (g_lo <= 0.0) & (g_hi >= 0.0)
 
+    def residual(p, x, v):
+        return eval_dP_dp(m, x, p) - v, eval_hess(m, x, p)
+
     p = np.full(v.size, np.nan)
-    # the working arrays hold only the entries still iterating
     act = np.flatnonzero(ok)
-    xa, va = x_arr.ravel()[act], v.ravel()[act]
-    lo = np.full(act.size, P_BOX[0])
-    hi = np.full(act.size, P_BOX[1])
-    pa = 0.5 * (lo + hi)
-    # Newton with bisection fallback; dP/dp is increasing so the bracket shrinks
-    for _ in range(110):
-        if act.size == 0:
-            break
-        with np.errstate(all="ignore"):
-            g = eval_dP_dp(m, xa, pa) - va
-            hess = eval_hess(m, xa, pa)
-            lo = np.where(g < 0, pa, lo)
-            hi = np.where(g > 0, pa, hi)
-            step = np.where(hess > 0, g / np.where(hess > 0, hess, 1.0), np.inf)
-            cand = pa - step
-            bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
-            p_new = np.where(bad, 0.5 * (lo + hi), cand)
-        done = (np.abs(p_new - pa) < 1e-15) | (hi - lo < 1e-15)
-        p[act[done]] = p_new[done]
-        keep = ~done
-        act, xa, va, lo, hi, pa = (a[keep] for a in
-                                   (act, xa, va, lo, hi, p_new))
-    p[act] = pa
+    p[act] = roots.newton(residual, np.full(act.size, sum(P_BOX) / 2), *P_BOX,
+                          (x_arr.ravel()[act], v.ravel()[act]), 110)
     p = p.reshape(v.shape)
     L = np.where(ok, v * p - eval_P(m, x_arr, np.where(ok, p, 0.0)), np.nan)
     if scalar:

@@ -91,9 +91,10 @@ def test_legendre_burgers_closed_form():
 
 
 def test_legendre_jump_symbol():
-    # P = e^p - 1: p* = log v, L = v log v - v + 1
+    # P = e^p - 1: p* = log v, L = v log v - v + 1; from p = 0 the first
+    # Newton step for v = 21 lands exactly on the box edge 20
     m = pure_jump()
-    for v in (0.2, 1.0, 3.0, 40.0):
+    for v in (0.2, 1.0, 3.0, 21.0, 40.0):
         p, L = legendre(m, 0.0, v)
         assert abs(p - np.log(v)) < 1e-11
         assert abs(L - (v * np.log(v) - v + 1.0)) < 1e-10
