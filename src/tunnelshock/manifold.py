@@ -456,16 +456,16 @@ class ShockRecord:
 
 def _essential_branches_near(curve, x, w):
     """Branches with minimal action at x - w and at x + w (the one-sided
-    essential branches); where no branch covers a point, the branch whose
-    end is nearest to it.  The candidates are queried at both points in
+    essential branches); a point that no branch covers raises
+    UncoveredPointError.  The candidates are queried at both points in
     one batch."""
     if not curve.branches:
         raise ManifoldError(f"no branches near x={x:g} at t={curve.t:g}")
     probes = np.array([x - w, x + w])
     cands = [[b for b in curve.branches if b.x_lo <= p <= b.x_hi]
-             or [min(curve.branches, key=lambda b: min(abs(b.x_lo - p),
-                                                       abs(b.x_hi - p)))]
              for p in probes]
+    if not all(cands):
+        raise UncoveredPointError(probes[[not c for c in cands]])
     need = list({b.index: b for c in cands if len(c) > 1 for b in c}.values())
     S = dict(zip((b.index for b in need), _values(
         [(b, probes) for b in need])[1].reshape(-1, 2))) if need else {}

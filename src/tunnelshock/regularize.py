@@ -3,11 +3,11 @@
 Just ahead of the first fold the label fan is modified on a thin collar:
 collar trajectories are restarted on a straight-line velocity profile that
 focuses them at a common point, and the focusing is blended, over a time
-window of width ``epsilon``, into rigid transport at the jump speed.  For
-every positive ``epsilon`` the flow map stays strictly increasing while its
-Jacobian bottoms out at O(epsilon) instead of vanishing; rows outside the
-collar run plainly until they land on the moving cluster and are absorbed
-by it.
+window of width ``epsilon``, into rigid transport at the jump speed.  The
+flow map then stays strictly increasing while its Jacobian bottoms out at
+O(epsilon) instead of vanishing; ``blended_fan`` checks both and raises a
+RegularizeError where either fails.  Rows outside the collar run plainly
+until they land on the moving cluster and are absorbed by it.
 """
 
 import math
@@ -27,7 +27,6 @@ from .symbol import (eval_P, eval_dP_dp, eval_dP_dx, eval_hess,  # noqa: F401
                      P_BOX)
 
 
-SHIFT_SCAN = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 100.0)
 MONO_FLOOR = 1e-7      # error level under which schedule decrease is moot
 # the reference density is compared on N_X points at N_TIMES instants in
 # (0, T], outside a collar of half-width COLLAR_HALFWIDTH around each shock
@@ -155,10 +154,10 @@ def _window_integral(eps, t_star):
     return W
 
 
-def _collar_x(lab, speed, t, w, shift, c):
-    """Collar trajectory: shifted label, insertion speed over the window
-    integral w = W(t), plateau speed c for the rest of the time."""
-    return lab + shift + w * speed + (t - w) * c
+def _collar_x(lab, speed, t, w, c):
+    """Collar trajectory: insertion speed over the window integral w = W(t),
+    plateau speed c for the rest of the time."""
+    return lab + w * speed + (t - w) * c
 
 
 def _first_crossing(labs, vs, edge_fn, sign, T):
@@ -196,7 +195,6 @@ class BlendedFlow:
     t_star: float
     T: float
     c: float
-    A_shift: float
     x0: np.ndarray
     inside: np.ndarray
     v: np.ndarray
@@ -208,8 +206,7 @@ class BlendedFlow:
     def _collar_positions(self, t, lab):
         """Collar labels riding the insertion, blended into the plateau."""
         return _collar_x(lab, self.insertion.speed(lab), t,
-                         float(self.window(t)),
-                         self.A_shift * self.params.epsilon, self.c)
+                         float(self.window(t)), self.c)
 
     def positions(self, t):
         t = float(t)
@@ -247,9 +244,10 @@ def blended_fan(m, u0, params, T, x0_star, t_star,
 
     Collar rows follow the straight-line insertion until the window around
     the focusing time opens, then ride at the plateau speed; outer rows run
-    plainly and freeze onto the collar's edge when they reach it.  The
-    initial collar shift is auto-tuned: the smallest value in [0, 100]
-    keeping the flow map strictly increasing.
+    plainly and freeze onto the collar's edge when they reach it.  Where
+    this flow stops being one-to-one, a RegularizeError says where: the
+    collar Jacobian after t_star is not positive, or two active rows meet
+    at a check time.
     """
     if not m.spatially_homogeneous:
         raise RegularizeError(
@@ -281,64 +279,36 @@ def blended_fan(m, u0, params, T, x0_star, t_star,
     vprime = eval_hess(m, lab, p0) * expr.evaluate_at(expr.diff(u0), lab)
     c = float(symbol.jump_speed(m, x0_star, ins.p_l0, ins.p_r0))
     W = _window_integral(eps, t_star)
-    s_l = float(ins.speed(edge_l))
-    s_r = float(ins.speed(edge_r))
     j_after = min(1.0 - K * float(W(t_star)), 1.0 - K * float(W(T)))
-
-    left = ~inside & (lab < x0_star)
-    right = ~inside & (lab > x0_star)
-    s_in = ins.speed(lab[inside])
+    if not j_after > 0.0:
+        raise RegularizeError(
+            f"the collar Jacobian falls to {j_after:.3g} after the focal "
+            f"time t*={t_star:g}; the blended flow folds")
 
     # crossings are solved past T so the absorbed-set boundary can be
     # interpolated in time at T instead of clamping onto the label grid
     t_det = 1.5 * float(T) + 20.0 * eps
-
-    def absorption(A):
-        def edge_path(edge, s_e):  # as BlendedFlow.edge_positions, over t
-            return lambda t: _collar_x(edge, s_e, t, W(t), A * eps, c)
-
-        t_abs = np.full(lab.shape, np.inf)
-        for rows, edge, s_e, sign in ((left, edge_l, s_l, +1.0),
-                                      (right, edge_r, s_r, -1.0)):
-            t_abs[rows] = _first_crossing(lab[rows], v[rows],
-                                          edge_path(edge, s_e), sign, t_det)
-        return t_abs
+    t_abs = np.full(lab.shape, np.inf)
+    for rows, edge, sign in ((~inside & (lab < x0_star), edge_l, +1.0),
+                             (~inside & (lab > x0_star), edge_r, -1.0)):
+        s_e = float(ins.speed(edge))
+        # the edge's path over t, as in BlendedFlow.edge_positions
+        t_abs[rows] = _first_crossing(
+            lab[rows], v[rows], lambda t: _collar_x(edge, s_e, t, W(t), c),
+            sign, t_det)
+    flow = BlendedFlow(
+        insertion=ins, params=params, t_star=t_star, T=float(T), c=c,
+        x0=lab, inside=inside, v=v, vprime=vprime, t_abs=t_abs,
+        min_inside_J_after=j_after, window=W)
 
     chk = np.unique(np.clip(np.concatenate([
         np.linspace(0.0, T, 129),
         t_star + eps * np.linspace(-20.0, 20.0, 81)]), 0.0, T))
-
-    def is_monotone(A, t_abs):
-        off = A * eps
-        for t in chk:
-            w = float(W(t))
-            x = lab + t * v
-            x[inside] = _collar_x(lab[inside], s_in, t, w, off, c)
-            keep = inside | (t < t_abs)
-            if np.any(np.diff(x[keep]) <= 0.0):
-                return False
-        return True
-
-    A, t_abs, prev_bad = None, None, 0.0
-    if j_after > 0.0:
-        for cand in SHIFT_SCAN:
-            ta = absorption(cand)
-            if is_monotone(cand, ta):
-                A, t_abs = cand, ta
-                break
-            prev_bad = cand
-    if A is None:
-        raise RegularizeError(
-            "no collar shift in [0, 100] keeps the blended flow "
-            "one-to-one with a positive Jacobian")
-    if A > 0.0:
-        A = float(roots.bisect(
-            lambda s: not is_monotone(s, absorption(s)), prev_bad, A, 20)[1])
-        t_abs = absorption(A)
-    return BlendedFlow(
-        insertion=ins, params=params, t_star=t_star, T=float(T), c=c,
-        A_shift=A, x0=lab, inside=inside, v=v, vprime=vprime, t_abs=t_abs,
-        min_inside_J_after=j_after, window=W)
+    for t in chk:
+        if np.any(np.diff(flow.positions(t)[flow.active(t)]) <= 0.0):
+            raise RegularizeError(
+                f"the blended flow stops being one-to-one at t={t:g}")
+    return flow
 
 
 # ---------------------------------------------------------------------------

@@ -321,7 +321,7 @@ def test_oracle_tunnel_compare(tmp_path):
     assert tab["E_of_h"][0] < 1e-3
 
 
-def test_limit_study_cli(tmp_path):
+def test_limit_study_cli(tmp_path, capsys):
     out = tmp_path / "run"
     rc = cli.main(["limit-study", "--scenario", preset("riemann.ini"),
                    "--out", str(out)])
@@ -334,6 +334,16 @@ def test_limit_study_cli(tmp_path):
     sc = write_ini(tmp_path, MINIMAL)
     assert cli.main(["limit-study", "--scenario", sc,
                      "--out", str(tmp_path / "x")]) == 2
+    # blended around the first fold of two fronts, the flow folds where
+    # the second front does, outside the collar: a numerical failure
+    with open(preset("merging_fronts.ini")) as f:
+        text = f.read().replace("n_x0 = 4001", "n_x0 = 801")
+    merging = write_ini(tmp_path, text + "\n[regularization]\n"
+                        "epsilon = 1e-2, 2.5e-3\n", "merging.ini")
+    capsys.readouterr()
+    assert cli.main(["limit-study", "--scenario", merging,
+                     "--out", str(tmp_path / "merging")]) == 3
+    assert "one-to-one at t=0.105" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

@@ -130,6 +130,14 @@ def test_essential_uncovered_raises(tanh_fan):
         manifold.essential(curve, np.array([50.0]))
 
 
+def test_essential_branches_near_uncovered_raises(tanh_fan):
+    curve = manifold.slice_fan(tanh_fan, 1.5)
+    x_hi = max(b.x_hi for b in curve.branches)
+    # a probe beyond every branch gets no stand-in branch
+    with pytest.raises(manifold.UncoveredPointError, match="no branch covers"):
+        manifold._essential_branches_near(curve, x_hi + 1.0, 0.01)
+
+
 def test_stationary_shock_path(tanh_fan):
     recs = manifold.track_shocks(tanh_fan)
     assert len(recs) == 1

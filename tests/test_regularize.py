@@ -177,7 +177,7 @@ def test_blended_flow_matches_straight_insertion_before_window(tanh_flow):
     t = bf.t_star - 12.0 * eps
     pos = bf.positions(t)
     lab = bf.x0[bf.inside]
-    straight = lab + bf.A_shift * eps + t * bf.insertion.speed(lab)
+    straight = lab + t * bf.insertion.speed(lab)
     assert np.max(np.abs(pos[bf.inside] - straight)) < 1e-8
     out = ~bf.inside
     assert np.max(np.abs(pos[out] - (bf.x0[out] + t * bf.v[out]))) < 1e-12
@@ -202,12 +202,11 @@ def test_blended_flow_rides_at_jump_speed_after_window(tanh_flow):
     assert np.max(np.abs(vel - bf.c)) < 1e-6
 
 
-def test_blended_flow_jacobian_floor_and_shift(m_burgers):
+def test_blended_flow_jacobian_floor(m_burgers):
     # wider front: focus at t*=1, run past it
     params = regularize.RegularizationParams(1e-2, 1e-1)
     bf = regularize.blended_fan(m_burgers, "0-tanh(x)", params, 1.5,
                                 0.0, 1.0)
-    assert bf.A_shift == 0.0
     ratio = bf.min_inside_J_after / params.epsilon
     assert 0.03 < ratio < 30.0
     # the interior Jacobian is the window integral: decreasing to its floor
@@ -227,6 +226,21 @@ def test_blended_flow_map_strictly_increasing(m_burgers):
         act = bf.active(t)
         x = bf.positions(float(t))[act]
         assert np.all(np.diff(x) > 0.0)
+
+
+@pytest.mark.parametrize("u0, x0_star, t_star, T, message", [
+    # the second front folds at t = 0.5 outside the collar around -1.5
+    ("0-tanh(2*(x+1.5))-tanh(2*(x-1.5))", -1.5, 0.5, 1.0,
+     "one-to-one at t=0.5"),
+    # the collar focuses at 1/K < t*: its Jacobian falls to about -2.95
+    ("0-tanh(2*x)", 0.0, 2.0, 2.5,
+     r"falls to -2\.95 after the focal time t\*=2;"),
+])
+def test_blended_fan_says_where_the_flow_stops_being_one_to_one(
+        m_burgers, u0, x0_star, t_star, T, message):
+    params = regularize.RegularizationParams(1e-2, 1e-1)
+    with pytest.raises(regularize.RegularizeError, match=message):
+        regularize.blended_fan(m_burgers, u0, params, T, x0_star, t_star)
 
 
 def test_limit_study_shrinking_window(tanh_limit_study):
