@@ -24,7 +24,7 @@ ORACLES = ("hopf-lax", "godunov", "kf-lattice", "tunnel-compare")
 
 _USAGE = """\
 usage: tunnelshock <subcommand> --scenario <path> [--out <dir>]
-                   [--threads <n>, validated then ignored] [--seed <u64>]
+                   [--threads <n>] [--seed <u64>]
 
 subcommands:
   evolve        characteristic fan, minimal-action slices, density slices
@@ -34,6 +34,11 @@ subcommands:
   oracle <kind> ground-truth runs: hopf-lax | godunov | kf-lattice
                 | tunnel-compare
   limit-study   window-shrinking family vs the generalized solution
+
+--threads (or TUNNELSHOCK_THREADS) is the number of processes a run may
+use, by default the CPUs this process may run on.  At 2 or more, evolve
+writes fan.csv in a forked child while it builds the density; at 1 it
+writes in process.  Outputs are byte-identical at any value.
 """
 
 _NUMERICAL_ERRORS = (symbol.SymbolError, characteristics.CharacteristicsError,
@@ -83,12 +88,47 @@ def _amplitude_rows(shocks):
     return rows
 
 
-# ---------------------------------------------------------------------------
-# subcommand runners: each returns the list of CSV files it wrote
+def _fork_fan_csv(fan, path):
+    """Start a child that writes fan.csv and ends with ``os._exit``, so it
+    never returns into the caller's stack or flushes its stdio buffers.
+    Whatever the write raises goes to fd 2 and the child exits 1; nothing
+    may unwind out of it, so the child re-raises nothing."""
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            characteristics.fan_to_csv(fan, path)
+            status = 0
+        except BaseException as ex:
+            msg = f"writing {path}: {type(ex).__name__}: {ex}\n"
+            os.write(2, msg.encode(errors="replace"))
+        finally:
+            os._exit(status)
+    return pid
 
-def _run_evolve(sc, out, seed):
+
+# ---------------------------------------------------------------------------
+# subcommand runners: each takes the scenario, output directory, seed and
+# process count, and returns the list of CSV files it wrote
+
+def _run_evolve(sc, out, seed, threads):
     fan = _build_fan(sc)
-    characteristics.fan_to_csv(fan, os.path.join(out, "fan.csv"))
+    path = os.path.join(out, "fan.csv")
+    if threads == 1 or not hasattr(os, "fork"):
+        characteristics.fan_to_csv(fan, path)
+        return _evolve_slices(sc, out, fan)
+    # the CSV dump of the fan is formatting under the GIL; a second process
+    # writes it while this one builds the density and samples the slices
+    pid = _fork_fan_csv(fan, path)
+    try:
+        return _evolve_slices(sc, out, fan)
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code != 0:
+            raise OSError(f"writer of {path} exited with status {code}")
+
+
+def _evolve_slices(sc, out, fan):
     gd = density.build_density(fan, rho0=sc.rho0)
     ess_rows, den_rows, mass_rows = [], [], []
     for t in _slice_times(fan):
@@ -114,7 +154,7 @@ def _run_evolve(sc, out, seed):
             "masses.csv"]
 
 
-def _run_singularity(sc, out, seed):
+def _run_singularity(sc, out, seed, threads):
     fan = _build_fan(sc)
     events = manifold.find_singularities(fan)
     rows = [(ev.t, ev.x, ev.x0) for ev in events]
@@ -123,7 +163,7 @@ def _run_singularity(sc, out, seed):
     return ["singularities.csv"]
 
 
-def _run_shock(sc, out, seed):
+def _run_shock(sc, out, seed, threads):
     fan = _build_fan(sc)
     gd = density.build_density(fan, rho0=sc.rho0)
     path_rows = []
@@ -150,7 +190,7 @@ def _run_shock(sc, out, seed):
     return ["shock_path.csv", "amplitudes.csv", "merges.csv"]
 
 
-def _run_verify(sc, out, seed):
+def _run_verify(sc, out, seed, threads):
     fan = _build_fan(sc)
     gd = density.build_density(fan, rho0=sc.rho0)
     report = verify.identity_suite(gd, count=sc.bumps, seed=seed)
@@ -160,7 +200,7 @@ def _run_verify(sc, out, seed):
     return ["verify.csv"]
 
 
-def _run_limit_study(sc, out, seed):
+def _run_limit_study(sc, out, seed, threads):
     if not sc.eps_schedule:
         raise scenario.ScenarioError(
             "[regularization] epsilon: required for limit-study")
@@ -174,7 +214,7 @@ def _run_limit_study(sc, out, seed):
     return ["limit_study.csv"]
 
 
-def _run_oracle_hopf_lax(sc, out, seed):
+def _run_oracle_hopf_lax(sc, out, seed, threads):
     xs = np.linspace(sc.x_min, sc.x_max, 241)
     rows = []
     for frac in (0.25, 0.5, 0.75, 1.0):
@@ -185,7 +225,7 @@ def _run_oracle_hopf_lax(sc, out, seed):
     return ["hopf_lax.csv"]
 
 
-def _run_oracle_godunov(sc, out, seed):
+def _run_oracle_godunov(sc, out, seed, threads):
     if sc.S0_prime is None:
         raise scenario.ScenarioError(
             "[initial] S0_prime: required for the godunov oracle")
@@ -213,7 +253,7 @@ def _lattice_fields(sc):
     return fields
 
 
-def _run_oracle_kf_lattice(sc, out, seed):
+def _run_oracle_kf_lattice(sc, out, seed, threads):
     rows = []
     for f in _lattice_fields(sc):
         logs = f.minus_h_log()
@@ -224,7 +264,7 @@ def _run_oracle_kf_lattice(sc, out, seed):
     return ["lattice.csv"]
 
 
-def _run_oracle_tunnel_compare(sc, out, seed):
+def _run_oracle_tunnel_compare(sc, out, seed, threads):
     fields = _lattice_fields(sc)
     fan = _build_fan(sc)
     gd = density.build_density(fan, rho0=sc.rho0)
@@ -285,6 +325,10 @@ def _parse_flags(args):
             raise scenario.ScenarioError("thread count must be an integer")
         if threads < 1:
             raise scenario.ScenarioError("thread count must be positive")
+    elif hasattr(os, "sched_getaffinity"):
+        threads = len(os.sched_getaffinity(0))
+    else:
+        threads = os.cpu_count() or 1
     flags["threads"] = threads
     return flags
 
@@ -356,7 +400,7 @@ def main(argv=None):
     seed = flags["seed"] if flags["seed"] is not None else sc.seed
 
     try:
-        files = runner(sc, out, seed)
+        files = runner(sc, out, seed, flags["threads"])
     except (scenario.ScenarioError, expr.ExpressionError) as ex:
         sys.stderr.write(f"invalid scenario: {ex}\n")
         return EXIT_VALIDATION

@@ -11,7 +11,6 @@ until they land on the moving cluster and are absorbed by it.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -351,6 +350,13 @@ def _plateau_mass(flow, rho0, t):
     return float(np.sum(expr.evaluate_at(rho0, nodes) * w))
 
 
+def _warn(message):
+    # logging is imported on first use: loading it adds about 5 ms to every
+    # start-up, and only a schedule whose distances do not shrink needs it
+    import logging
+    logging.getLogger("tunnelshock").warning(message)
+
+
 def _strictly_decreasing(vals, floor=MONO_FLOOR):
     return all(b < a or b <= floor for a, b in zip(vals, vals[1:]))
 
@@ -385,7 +391,7 @@ def limit_study(m, S0, rho0, eps_schedule, T, S0_prime=None, betas=None,
     measured against the generalized solution away from a collar around
     the jump path; the cluster mass at T is measured against the jump
     amplitude.  Distances that fail to shrink strictly along the schedule
-    are flagged with a warning.
+    are flagged with a warning on the ``tunnelshock`` logger.
     """
     eps = tuple(float(e) for e in eps_schedule)
     if len(eps) < 1 or any(e <= 0 for e in eps):
@@ -463,11 +469,10 @@ def limit_study(m, S0, rho0, eps_schedule, T, S0_prime=None, betas=None,
     mono_R = _strictly_decreasing(sup_errs)
     mono_e = _strictly_decreasing(e_errs)
     if len(eps) > 1 and not mono_R:
-        warnings.warn("field distances do not shrink strictly along the "
-                      "schedule", RuntimeWarning, stacklevel=2)
+        _warn("field distances do not shrink strictly along the schedule")
     if len(eps) > 1 and not mono_e:
-        warnings.warn("amplitude distances do not shrink strictly along the "
-                      "schedule", RuntimeWarning, stacklevel=2)
+        _warn("amplitude distances do not shrink strictly along the "
+              "schedule")
     return LimitStudy(
         epsilons=eps, betas=betas, sup_R_errors=tuple(sup_errs),
         e_errors=tuple(e_errs), j_floors=tuple(j_floors), t_star=t_star,

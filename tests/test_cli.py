@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from tunnelshock import cli, density, scenario
+from tunnelshock import cli, density, manifold, scenario
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -44,6 +44,14 @@ T = 0.5
 h_t = 2.5e-3
 store_every = 20
 """
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    # every fan.csv writer a test's run forked has been reaped
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_evolve_rarefaction_density(tmp_path):
@@ -91,7 +99,7 @@ def test_evolve_rows_stay_in_the_label_window(tmp_path, monkeypatch):
         return fans[-1]
 
     monkeypatch.setattr(cli, "_build_fan", build)
-    # fan.csv is not under test, and writing it takes about 40% of the run
+    # fan.csv is not under test
     monkeypatch.setattr(cli.characteristics, "fan_to_csv",
                         lambda fan, path: None)
     out = tmp_path / "run"
@@ -179,6 +187,76 @@ def test_verify_seeded_and_byte_identical(tmp_path, monkeypatch):
     tab = read_csv(tmp_path / "a" / "verify.csv")
     assert np.all(np.isfinite(tab["residual"]))
     assert np.max(tab["residual"]) < 1e-4  # smooth flow: identity holds
+
+
+def test_threads_default_to_the_usable_cpus(monkeypatch):
+    monkeypatch.delenv("TUNNELSHOCK_THREADS", raising=False)
+    flags = cli._parse_flags(["--scenario", "case.ini"])
+    assert flags["threads"] == len(os.sched_getaffinity(0))
+    monkeypatch.setenv("TUNNELSHOCK_THREADS", "3")
+    assert cli._parse_flags(["--scenario", "case.ini"])["threads"] == 3
+    flags = cli._parse_flags(["--scenario", "case.ini", "--threads", "1"])
+    assert flags["threads"] == 1
+
+
+def test_evolve_at_one_thread_never_forks(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("forked at one thread")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    sc = write_ini(tmp_path, MINIMAL)
+    assert cli.main(["evolve", "--scenario", sc, "--threads", "1",
+                     "--out", str(tmp_path / "flag")]) == 0
+    monkeypatch.setenv("TUNNELSHOCK_THREADS", "1")
+    assert cli.main(["evolve", "--scenario", sc,
+                     "--out", str(tmp_path / "env")]) == 0
+
+
+def test_evolve_forked_writer_bytes_and_typed_failure(tmp_path, monkeypatch):
+    # the forked writer leaves the bytes of the in-process one, also when
+    # the parent ends in a typed failure after the fork
+    sc = write_ini(tmp_path, MINIMAL)
+    outs = {tag: tmp_path / tag for tag in ("one", "two", "fail")}
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    for tag, threads in (("one", "1"), ("two", "2")):
+        assert cli.main(["evolve", "--scenario", sc, "--threads", threads,
+                         "--out", str(outs[tag])]) == 0
+    assert forks == [1]
+    names = sorted(os.listdir(outs["one"]))
+    assert names == sorted(os.listdir(outs["two"]))
+    for name in names:
+        assert (outs["one"] / name).read_bytes() \
+            == (outs["two"] / name).read_bytes(), name
+
+    def fail(*args, **kwargs):
+        raise manifold.ManifoldError("no density after the fork")
+
+    monkeypatch.setattr(density, "build_density", fail)
+    assert cli.main(["evolve", "--scenario", sc, "--threads", "2",
+                     "--out", str(outs["fail"])]) == 3
+    assert forks == [1, 1]
+    assert (outs["fail"] / "fan.csv").read_bytes() \
+        == (outs["one"] / "fan.csv").read_bytes()
+
+
+def test_evolve_writer_failure_raises_in_the_parent(tmp_path, monkeypatch,
+                                                    capfd):
+    def fail(fan, path):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.characteristics, "fan_to_csv", fail)
+    sc = write_ini(tmp_path, MINIMAL)
+    with pytest.raises(OSError, match="exited with status 1"):
+        cli.main(["evolve", "--scenario", sc, "--threads", "2",
+                  "--out", str(tmp_path / "run")])
+    assert "No space left on device" in capfd.readouterr().err
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -269,6 +269,19 @@ def test_limit_study_rarefaction_passthrough(m_burgers):
         assert row[4] > 0.0
 
 
+def test_limit_study_logs_distances_that_do_not_shrink(m_burgers, caplog,
+                                                       monkeypatch):
+    monkeypatch.setattr(regularize, "_strictly_decreasing",
+                        lambda vals: False)
+    with caplog.at_level("WARNING", logger="tunnelshock"):
+        ls = regularize.limit_study(m_burgers, "x^2/2", "1",
+                                    (1e-2, 2.5e-3), T=1.0, S0_prime="x")
+    assert not (ls.monotone_R or ls.monotone_e)
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] \
+        == [("tunnelshock", "WARNING", f"{what} distances do not shrink "
+             "strictly along the schedule") for what in ("field", "amplitude")]
+
+
 def test_limit_study_riemann_mass_rate(m_burgers):
     T = 1.0
     ls = regularize.limit_study(
