@@ -176,9 +176,9 @@ def integrate_fan(m, S0, x0, T, h_t, store_every=1, S0_prime=None):
     if n_steps % store_every != 0:
         raise CharacteristicsError("store_every must divide the step count")
 
-    S0 = expr.as_expression(S0, ("x",))
+    S0 = expr.as_expression(S0)
     S0_prime = (expr.diff(S0) if S0_prime is None
-                else expr.as_expression(S0_prime, ("x",)))
+                else expr.as_expression(S0_prime))
     y = np.stack((x0, expr.evaluate_at(S0_prime, x0), expr.evaluate_at(S0, x0),
                   np.ones_like(x0), expr.evaluate_at(expr.diff(S0_prime), x0),
                   np.zeros_like(x0)))  # rows in _FIELDS order

@@ -176,7 +176,7 @@ def attach_amplitudes(gd):
 
 def build_density(fan, rho0="1", shocks=None):
     """Track shocks (unless given) and assemble the generalized density."""
-    gd = GeneralizedDensity(fan=fan, rho0=expr.as_expression(rho0, ("x",)))
+    gd = GeneralizedDensity(fan=fan, rho0=expr.as_expression(rho0))
     gd.shocks = manifold.track_shocks(fan) if shocks is None else list(shocks)
     return attach_amplitudes(gd)
 

@@ -1,8 +1,8 @@
 """Tiny expression language for scalar coefficient fields.
 
 Grammar (precedence low to high): ``+ -`` < ``* /`` < unary ``-`` < ``^``
-(right associative).  Atoms are decimal constants, named variables, calls of
-the builtin functions, and parenthesized subexpressions.  Evaluation is
+(right associative).  Atoms are decimal constants, the variable ``x``, calls
+of the builtin functions, and parenthesized subexpressions.  Evaluation is
 numpy-backed, so scalars and arrays broadcast alike; any non-finite
 intermediate is reported as a domain error instead of propagating.
 ``diff`` takes the exact x-derivative of an expression symbolically.
@@ -113,14 +113,14 @@ def _tokenize(source):
 
 
 class Expression:
-    """A parsed expression over a fixed set of variable names."""
+    """A parsed expression in the one variable x."""
 
-    __slots__ = ("source", "ast", "names", "_dx")
+    __slots__ = ("source", "ast", "has_x", "_dx")
 
-    def __init__(self, source, ast, names):
+    def __init__(self, source, ast):
         self.source = source
         self.ast = ast
-        self.names = frozenset(names)
+        self.has_x = _has_x(ast)
         self._dx = None  # d/dx, derived on first use by ``diff``
 
     def __repr__(self):
@@ -128,12 +128,10 @@ class Expression:
 
 
 class _Parser:
-    def __init__(self, source, allowed_names):
+    def __init__(self, source):
         self.source = source
         self.toks = _tokenize(source)
         self.pos = 0
-        self.allowed = frozenset(allowed_names)
-        self.seen = set()
 
     def peek(self):
         return self.toks[self.pos]
@@ -215,9 +213,8 @@ class _Parser:
                     raise ExpressionSyntaxError(
                         f"{value}() takes at least two arguments", off, ())
                 return ("call", value, tuple(args))
-            if value not in self.allowed:
+            if value != "x":
                 raise UnknownNameError(value, off)
-            self.seen.add(value)
             return ("var", value)
         if kind == _TOK_OP and value == "(":
             node = self.parse_expr()
@@ -227,20 +224,20 @@ class _Parser:
             "unexpected token", off, ("number", "identifier", "'('", "'-'"))
 
 
-def parse(source, allowed_names=("x", "t")):
-    """Parse ``source`` into an Expression over ``allowed_names``."""
-    p = _Parser(source, allowed_names)
+def parse(source):
+    """Parse ``source`` into an Expression in x."""
+    p = _Parser(source)
     node = p.parse_expr()
     kind, _, off = p.peek()
     if kind != _TOK_END:
         raise ExpressionSyntaxError("trailing input", off, ("operator", "end of input"))
-    return Expression(source, node, p.seen)
+    return Expression(source, node)
 
 
-def as_expression(src, allowed_names=("x", "t")):
-    """Parse text over ``allowed_names``; anything else passes through."""
+def as_expression(src):
+    """Parse text; anything else passes through."""
     if isinstance(src, str):
-        return parse(src, allowed_names)
+        return parse(src)
     return src
 
 
@@ -255,18 +252,18 @@ def _check_finite(value, what):
     return value
 
 
-def _eval(node, env):
+def _eval(node, x):
     tag = node[0]
     if tag == "num":
         return node[1]
     if tag == "var":
-        return env[node[1]]
+        return x
     if tag == "neg":
-        return -_eval(node[1], env)
+        return -_eval(node[1], x)
     if tag == "bin":
         op, left, right = node[1], node[2], node[3]
-        a = _eval(left, env)
-        b = _eval(right, env)
+        a = _eval(left, x)
+        b = _eval(right, x)
         if op == "+":
             r = a + b
         elif op == "-":
@@ -280,7 +277,7 @@ def _eval(node, env):
         return _check_finite(r, f"'{op}'")
     # call
     fname, args = node[1], node[2]
-    vals = [_eval(a, env) for a in args]
+    vals = [_eval(a, x) for a in args]
     if fname in _UNARY_FN:
         r = _UNARY_FN[fname](vals[0])
     else:
@@ -291,30 +288,30 @@ def _eval(node, env):
     return _check_finite(r, f"{fname}()")
 
 
-def evaluate(e, **env):
-    """Evaluate Expression ``e`` with variable bindings given as keywords.
+def evaluate(e, x=None):
+    """Evaluate Expression ``e`` at ``x``.
 
-    Values may be floats or numpy arrays (broadcasting applies).  Raises
-    EvalDomainError whenever any intermediate is non-finite.
+    ``x`` may be a float or a numpy array (broadcasting applies); it may be
+    left out only when ``e`` does not depend on x.  Raises EvalDomainError
+    whenever any intermediate is non-finite.
     """
-    missing = e.names - set(env)
-    if missing:
-        raise ExpressionError(f"missing bindings for {sorted(missing)}")
+    if x is None and e.has_x:
+        raise ExpressionError("missing binding for x")
     with np.errstate(all="ignore"):
-        out = _eval(e.ast, env)
+        out = _eval(e.ast, x)
     if isinstance(out, np.ndarray):
         return out
     return float(out)
 
 
-def evaluate_at(e, x, **env):
+def evaluate_at(e, x):
     """Evaluate ``e`` at positions ``x``, broadcast to the shape of ``x``.
 
     Adding zeros also turns a -0.0 result into +0.0, so printed values do
     not depend on how the expression reached zero.
     """
     x = np.asarray(x, dtype=float)
-    return evaluate(e, x=x, **env) + np.zeros_like(x)
+    return evaluate(e, x=x) + np.zeros_like(x)
 
 
 # ---------------------------------------------------------------------------
@@ -324,22 +321,18 @@ _ZERO = ("num", 0.0)
 _ONE = ("num", 1.0)
 
 
-def _names_in(node):
-    """Variable names a tree references."""
+def _has_x(node):
+    """Whether a tree references x."""
     tag = node[0]
     if tag == "var":
-        return {node[1]}
+        return True
     if tag == "neg":
-        return _names_in(node[1])
+        return _has_x(node[1])
     if tag == "bin":
-        return _names_in(node[2]) | _names_in(node[3])
+        return _has_x(node[2]) or _has_x(node[3])
     if tag == "call":
-        return set().union(*(_names_in(a) for a in node[2]))
-    return set()
-
-
-def _has_x(node):
-    return "x" in _names_in(node)
+        return any(_has_x(a) for a in node[2])
+    return False
 
 
 def _folded(node):
@@ -348,7 +341,7 @@ def _folded(node):
     it still reports the domain error."""
     try:
         with np.errstate(all="ignore"):
-            return ("num", float(_eval(node, {})))
+            return ("num", float(_eval(node, None)))
     except EvalDomainError:
         return node
 
@@ -475,58 +468,18 @@ def diff(e):
     """Exact d/dx of Expression ``e``, derived once and cached on ``e``.
 
     Constant subtrees are folded, so a derivative that does not depend on
-    the variables reads as a number through ``constant_value``.  The result
-    is evaluated
-    like any Expression, with the same per-node finiteness checks; its
-    source text may use the internal ``sign()`` and does not reparse.
+    x reads as a number through ``constant_value``.  The result is
+    evaluated like any Expression, with the same per-node finiteness
+    checks.  Its source is the label ``d/dx(<source of e>)``, not text
+    that parses.
     """
     if e._dx is None:
-        ast = _d(_fold(e.ast))
-        e._dx = Expression(_unparse(ast, 0), ast, _names_in(ast))
+        e._dx = Expression(f"d/dx({e.source})", _d(_fold(e.ast)))
     return e._dx
 
 
 def constant_value(e):
     """The value of ``e`` when its tree is a single number, as it is for
-    every ``diff`` result that does not depend on the variables; else None."""
+    every ``diff`` result that does not depend on x; else None."""
     return e.ast[1] if e.ast[0] == "num" else None
 
-
-# ---------------------------------------------------------------------------
-# printing: emit a source form that reparses to the same tree
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
-
-
-def _fmt_num(v):
-    if v == int(v) and abs(v) < 1e16:
-        return repr(int(v))
-    return repr(v)
-
-
-def _unparse(node, parent_prec):
-    tag = node[0]
-    if tag == "num":
-        text, prec = _fmt_num(node[1]), _PREC["atom"]
-    elif tag == "var":
-        text, prec = node[1], _PREC["atom"]
-    elif tag == "neg":
-        prec = _PREC["neg"]
-        text = "-" + _unparse(node[1], prec)
-    elif tag == "bin":
-        op = node[1]
-        prec = _PREC[op]
-        # left-assoc chains reuse prec on the left; '^' is right-assoc
-        if op == "^":
-            left = _unparse(node[2], prec + 1)
-            right = _unparse(node[3], _PREC["neg"])  # exponent parsed at unary level
-        else:
-            left = _unparse(node[2], prec)
-            right = _unparse(node[3], prec + 1)
-        text = f"{left} {op} {right}" if op in "+-" else f"{left}{op}{right}"
-    else:
-        text = node[1] + "(" + ", ".join(_unparse(a, 0) for a in node[2]) + ")"
-        prec = _PREC["atom"]
-    if prec < parent_prec:
-        return "(" + text + ")"
-    return text

@@ -556,51 +556,47 @@ class _Tracker:
         self.parents = tuple(parents)
         self.samples = []
         self.x_prev = x_birth
-        self.root_mode = False
         self.merged_into = -1
 
     def step(self, fan, curve, w0):
-        """Add the sample of this slice; w0 is the slice's probe width."""
-        m = fan.symbol
+        """Add the sample of this slice; w0 is the slice's probe width.
+
+        The sample sits at the equal-action root when there is one, else
+        at the fold midpoint."""
         hit = _equal_action_root(curve, self.x_prev, w0)
         if hit is not None:
-            x_s, bl, br, *rows = hit
-            if abs(rows[0][2] - rows[1][2]) > 1e-8 * (1 + abs(rows[0][2])):
-                self.root_mode = True
-        if hit is None or (not self.root_mode):
-            x_mid = _fold_midpoint(curve, self.x_prev)
-            if x_mid is None:
-                if hit is None:
-                    # birth so close to a grid node that the fold is not yet
-                    # numerically resolved; skip until it opens up
-                    dt_store = float(fan.times[1] - fan.times[0]) if fan.times.size > 1 else fan.h_t
-                    if self.samples or curve.t - self.t_birth > 5 * dt_store:
-                        raise ManifoldError(
-                            f"shock {self.id}: no fold and no equal-action "
-                            f"root at t={curve.t:g}")
-                    return False
-                x_mid = x_s  # keep the (degenerate) root
-            x_s = x_mid
+            x_s, _, _, *rows = hit
+        else:
+            x_s = _fold_midpoint(curve, self.x_prev)
+            if x_s is None:
+                # birth so close to a grid node that the fold is not yet
+                # numerically resolved; skip until it opens up
+                dt_store = float(fan.times[1] - fan.times[0]) if fan.times.size > 1 else fan.h_t
+                if self.samples or curve.t - self.t_birth > 5 * dt_store:
+                    raise ManifoldError(
+                        f"shock {self.id}: no fold and no equal-action "
+                        f"root at t={curve.t:g}")
+                return False
             bl, br = _essential_branches_near(curve, x_s, w0)
             rows = _values([(b, np.clip(x_s, b.x_lo, b.x_hi))
                             for b in (bl, br)]).T
         sl, sr = (dict(zip(_CURVE_FIELDS, v.tolist())) for v in rows)
-        u_l = float(symbol.eval_dP_dp(m, x_s, sl["p"]))
-        u_r = float(symbol.eval_dP_dp(m, x_s, sr["p"]))
         self.samples.append(dict(t=curve.t, x_s=x_s, p_l=sl["p"], p_r=sr["p"],
-                                 u_l=u_l, u_r=u_r, x0_l=sl["x0"], x0_r=sr["x0"],
+                                 x0_l=sl["x0"], x0_r=sr["x0"],
                                  J_l=sl["J"], J_r=sr["J"],
                                  aint_l=sl["a_int"], aint_r=sr["a_int"]))
         self.x_prev = x_s
 
-    def to_record(self):
+    def to_record(self, m):
         t = np.array([s["t"] for s in self.samples])
         rec = ShockRecord(id=self.id, t_birth=self.t_birth, x_birth=self.x_birth,
                           x0_birth=self.x0_birth, parents=self.parents, times=t,
                           merged_into=self.merged_into)
-        for name in ("x_s", "p_l", "p_r", "u_l", "u_r", "x0_l", "x0_r",
+        for name in ("x_s", "p_l", "p_r", "x0_l", "x0_r",
                      "J_l", "J_r", "aint_l", "aint_r"):
             setattr(rec, name, np.array([s[name] for s in self.samples]))
+        rec.u_l = symbol.eval_dP_dp(m, rec.x_s, rec.p_l)
+        rec.u_r = symbol.eval_dP_dp(m, rec.x_s, rec.p_r)
         if t.size >= 2:
             rec.c = np.gradient(rec.x_s, t)
         else:
@@ -699,7 +695,8 @@ def track_shocks(fan):
                     break
                 if merged_any:
                     break
-    records = [tr.to_record() for tr in sorted(trackers, key=lambda tr: tr.id)]
+    records = [tr.to_record(fan.symbol)
+               for tr in sorted(trackers, key=lambda tr: tr.id)]
     for rec in records:
         if rec.times.size:
             check_admissibility(rec)

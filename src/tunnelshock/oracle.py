@@ -47,15 +47,10 @@ class BoundaryContactError(OracleError):
 
 
 def _field_values(data, xs):
-    """Initial data given as expression source, Expression, callable or array."""
+    """Initial data given as expression source, Expression or callable."""
     if isinstance(data, (str, expr.Expression)):
-        return expr.evaluate_at(expr.as_expression(data, ("x",)), xs)
-    if callable(data):
-        return np.asarray(data(xs), dtype=float) + np.zeros_like(xs)
-    vals = np.asarray(data, dtype=float)
-    if vals.shape != xs.shape:
-        raise OracleError("initial data array does not match the grid")
-    return vals.copy()
+        return expr.evaluate_at(expr.as_expression(data), xs)
+    return np.asarray(data(xs), dtype=float) + np.zeros_like(xs)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +76,7 @@ def hopf_lax_grid(m, S0, xs, t, y_box=(-30.0, 30.0), n=2001):
         raise OracleError("variational minimizer needs an x-independent symbol")
     if not t > 0.0:
         raise OracleError("t must be positive")
-    S0 = expr.as_expression(S0, ("x",))
+    S0 = expr.as_expression(S0)
     xs = np.asarray(xs, dtype=float)
     t = float(t)
 
@@ -216,10 +211,10 @@ class LatticeField:
     x: np.ndarray
     values: np.ndarray
     h: float
+    u0: expr.Expression  # initial data, reused for frozen ghosts
     t: float = 0.0
     dt: float = 0.0      # step used by the last run, 0 before any run
     reach: int = 0       # stencil half-width in cells
-    u0: object = None    # initial-data expression, reused for frozen ghosts
 
     @property
     def dx(self):
@@ -236,7 +231,7 @@ def make_lattice(u0, h, x_box, dx):
     if abs(lo + n * dx - hi) > 1e-9 * max(1.0, abs(hi - lo)):
         raise OracleError("dx must tile the lattice window exactly")
     xs = lo + dx * np.arange(n + 1)
-    u0e = expr.as_expression(u0, ("x",))
+    u0e = expr.as_expression(u0)
     return LatticeField(x=xs, values=_field_values(u0e, xs), h=float(h),
                         u0=u0e)
 
@@ -310,10 +305,7 @@ def kf_lattice(m, field, T, safety=0.4, dt=None):
     u[reach:reach + n] = field.values
     ghost_x = np.concatenate((xs[0] + dx * np.arange(-reach, 0),
                               xs[-1] + dx * np.arange(1, reach + 1)))
-    if field.u0 is not None:
-        ghost_vals = _field_values(field.u0, ghost_x)
-    else:
-        ghost_vals = np.zeros_like(ghost_x)
+    ghost_vals = _field_values(field.u0, ghost_x)
     u[:reach] = ghost_vals[:reach]
     u[reach + n:] = ghost_vals[reach:]
 

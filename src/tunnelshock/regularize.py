@@ -76,7 +76,7 @@ class RegularizationParams:
 
 def _x_expression(f, what):
     """Parse text in x; an Expression passes through."""
-    f = expr.as_expression(f, ("x",))
+    f = expr.as_expression(f)
     if not isinstance(f, expr.Expression):
         raise RegularizeError(f"{what} must be an expression in x")
     return f
@@ -405,7 +405,7 @@ def limit_study(m, S0, rho0, eps_schedule, T, S0_prime=None, betas=None,
     # every (epsilon, beta) pair is checked before any fan is integrated
     schedule = [RegularizationParams(e, b) for e, b in zip(eps, betas)]
     rho0 = _x_expression(rho0, "rho0")
-    u0 = expr.diff(expr.as_expression(S0, ("x",))) if S0_prime is None \
+    u0 = expr.diff(expr.as_expression(S0)) if S0_prime is None \
         else _x_expression(S0_prime, "S0_prime")
 
     lab = np.linspace(float(x_box[0]), float(x_box[1]), int(n_rows))

@@ -64,9 +64,9 @@ def _fail(section, key, msg):
     raise ScenarioError(f"[{section}] {key}: {msg}")
 
 
-def _check_expr(section, key, src, names):
+def _check_expr(section, key, src):
     try:
-        expr.parse(src, allowed_names=names)
+        expr.parse(src)
     except expr.ExpressionError as ex:
         _fail(section, key, str(ex))
     return src
@@ -108,7 +108,7 @@ def _parse_jumps(raw):
             _fail("symbol", "jumps",
                   f"expected 'displacement: rate' in {item!r}")
         nu = _float("symbol", "jumps", head.strip())
-        lam = _check_expr("symbol", "jumps", lam.strip(), ("x",))
+        lam = _check_expr("symbol", "jumps", lam.strip())
         terms.append((nu, lam))
     return tuple(terms)
 
@@ -140,26 +140,25 @@ def load(path):
         return cp.get(section, key, fallback=default)
 
     # -- symbol -----------------------------------------------------------
-    # x only: a scenario cannot make the symbol time dependent
-    A = _check_expr("symbol", "A", get("symbol", "A", "0"), ("x",))
-    V = _check_expr("symbol", "V", get("symbol", "V", "0"), ("x",))
+    A = _check_expr("symbol", "A", get("symbol", "A", "0"))
+    V = _check_expr("symbol", "V", get("symbol", "V", "0"))
     jumps = _parse_jumps(get("symbol", "jumps", ""))
     m = symbol.make_symbol(A=A, V=V, jumps=jumps)
 
     # -- initial ----------------------------------------------------------
-    S0 = _check_expr("initial", "S0", get("initial", "S0"), ("x",))
+    S0 = _check_expr("initial", "S0", get("initial", "S0"))
     S0_prime = get("initial", "S0_prime")
     if S0_prime is not None:
-        _check_expr("initial", "S0_prime", S0_prime, ("x",))
+        _check_expr("initial", "S0_prime", S0_prime)
     phi0 = get("initial", "phi0")
     rho0 = get("initial", "rho0")
     if phi0 is not None and rho0 is not None:
         _fail("initial", "phi0", "give phi0 or rho0, not both")
     if phi0 is not None:
-        _check_expr("initial", "phi0", phi0, ("x",))
+        _check_expr("initial", "phi0", phi0)
         rho0 = f"({phi0})^2"
     elif rho0 is not None:
-        _check_expr("initial", "rho0", rho0, ("x",))
+        _check_expr("initial", "rho0", rho0)
         phi0 = f"({rho0})^0.5"
     else:
         rho0, phi0 = "1", "1"

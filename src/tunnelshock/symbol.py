@@ -41,20 +41,16 @@ class SymbolModel:
     jumps: list = field(default_factory=list)
 
     @property
-    def names(self):
-        """Variables referenced by any coefficient field."""
-        return self.A.names.union(self.V.names,
-                                  *(j.lam.names for j in self.jumps))
-
-    @property
     def spatially_homogeneous(self):
-        return "x" not in self.names
+        """No coefficient field's parsed tree references x."""
+        return not (self.A.has_x or self.V.has_x
+                    or any(j.lam.has_x for j in self.jumps))
 
 
 def _parse_field(src):
-    """Parse a coefficient field, which may name x only."""
+    """Parse a coefficient field in x."""
     try:
-        return expr.parse(src, ("x",))
+        return expr.parse(src)
     except expr.UnknownNameError as ex:
         raise SymbolError(f"coefficient {src!r}: {ex}") from None
 

@@ -4,6 +4,7 @@ import pytest
 from tunnelshock import expr
 from tunnelshock.expr import (
     EvalDomainError,
+    ExpressionError,
     ExpressionSyntaxError,
     UnknownNameError,
     evaluate,
@@ -11,8 +12,8 @@ from tunnelshock.expr import (
 )
 
 
-def ev(src, **env):
-    return evaluate(parse(src), **env)
+def ev(src, x=None):
+    return evaluate(parse(src), x)
 
 
 def test_literals_and_arithmetic():
@@ -48,18 +49,22 @@ def test_functions():
 
 
 def test_variables_and_arrays():
-    e = parse("x^2 + t")
-    assert evaluate(e, x=3.0, t=1.0) == 10.0
+    e = parse("x^2 + 1")
+    assert evaluate(e, x=3.0) == 10.0
     xs = np.linspace(-1, 1, 11)
-    out = evaluate(e, x=xs, t=2.0)
-    assert np.allclose(out, xs**2 + 2.0)
+    out = evaluate(e, x=xs)
+    assert np.allclose(out, xs**2 + 1.0)
+    assert e.has_x and not parse("2*3").has_x
+    # an expression in x needs a value for x
+    with pytest.raises(ExpressionError, match="missing binding for x"):
+        evaluate(e)
 
 
 def test_as_expression_and_evaluate_at():
-    e = expr.as_expression("0*x - 1", ("x",))
+    e = expr.as_expression("0*x - 1")
     assert expr.as_expression(e) is e
     with pytest.raises(UnknownNameError):
-        expr.as_expression("x + t", ("x",))
+        expr.as_expression("x + t")
     xs = np.array([-2.0, 0.0, 3.0])
     out = expr.evaluate_at(expr.as_expression("2"), xs)  # broadcast constant
     assert out.shape == xs.shape and np.all(out == 2.0)
@@ -92,9 +97,10 @@ def test_unknown_identifiers():
         parse("y + 1")
     with pytest.raises(UnknownNameError):
         parse("foo(3)")
-    # alternate variable sets are explicit
-    e = parse("x*u", allowed_names=("x", "u"))
-    assert evaluate(e, x=2.0, u=5.0) == 10.0
+    # x is the one variable: a time variable is unknown too
+    with pytest.raises(UnknownNameError) as info:
+        parse("x*t")
+    assert (info.value.name, info.value.offset) == ("t", 2)
 
 
 def test_domain_errors():
@@ -112,62 +118,6 @@ def test_domain_errors():
         evaluate(parse("log(x)"), x=np.array([1.0, 0.0]))
 
 
-def _random_tree(rng, depth):
-    roll = rng.integers(0, 6 if depth > 0 else 2)
-    if roll == 0:
-        return ("num", float(rng.uniform(0.1, 3.0)))
-    if roll == 1:
-        return ("var", "x" if rng.integers(0, 2) else "t")
-    if roll == 2:
-        return ("neg", _random_tree(rng, depth - 1))
-    if roll == 3:
-        op = ["+", "-", "*", "/"][rng.integers(0, 4)]
-        return ("bin", op, _random_tree(rng, depth - 1), _random_tree(rng, depth - 1))
-    if roll == 4:
-        return ("bin", "^", _random_tree(rng, depth - 1), ("num", float(rng.integers(1, 4))))
-    fn = ["exp", "sin", "cos", "tanh", "sech", "abs"][rng.integers(0, 6)]
-    return ("call", fn, (_random_tree(rng, depth - 1),))
-
-
-def test_roundtrip_random_trees():
-    # print/parse round trip preserves evaluation bit-for-bit
-    rng = np.random.default_rng(20240817)
-    probes = [(0.37, 0.9), (1.7, 0.2), (-0.6, 1.3)]
-    checked = 0
-    for _ in range(300):
-        tree = _random_tree(rng, 3)
-        e = expr.Expression("<synthetic>", tree, {"x", "t"})
-        text = expr._unparse(e.ast, 0)
-        reparsed = parse(text)
-        for x, t in probes:
-            try:
-                want = evaluate(e, x=x, t=t)
-            except EvalDomainError:
-                break
-            got = evaluate(reparsed, x=x, t=t)
-            assert got == want, f"round trip changed {text!r}"
-            checked += 1
-    assert checked > 300
-
-
-def test_roundtrip_fixed_cases():
-    for src in [
-        "1+2*3",
-        "-x^2 + 2^-2",
-        "x - (t - 1)",
-        "(x + t)*(x - t)",
-        "min(x, t, 2)",
-        "sech(x)^2",
-        "-(x*t)",
-        "2^3^2",
-    ]:
-        e = parse(src)
-        text = expr._unparse(e.ast, 0)
-        e2 = parse(text)
-        for x, t in [(0.3, 0.7), (-1.2, 2.0)]:
-            assert evaluate(e2, x=x, t=t) == evaluate(e, x=x, t=t)
-
-
 def test_numeric_derivatives_match_closed_forms():
     # central differences on parsed sources vs hand closed forms
     cases = [
@@ -182,12 +132,12 @@ def test_numeric_derivatives_match_closed_forms():
     for src, dfn in cases:
         e = parse(src)
         for x in np.linspace(-1.5, 1.5, 7):
-            num = (evaluate(e, x=x + h, t=0.0) - evaluate(e, x=x - h, t=0.0)) / (2 * h)
+            num = (evaluate(e, x=x + h) - evaluate(e, x=x - h)) / (2 * h)
             assert abs(num - dfn(x)) < 1e-8
 
 
 def test_evaluation_deterministic():
-    e = parse("sin(x)*exp(t) - x/(t+2)")
-    a = evaluate(e, x=0.123456789, t=0.987654321)
-    b = evaluate(e, x=0.123456789, t=0.987654321)
+    e = parse("sin(x)*exp(0.987654321) - x/(0.987654321+2)")
+    a = evaluate(e, x=0.123456789)
+    b = evaluate(e, x=0.123456789)
     assert a == b

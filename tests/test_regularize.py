@@ -163,7 +163,7 @@ def test_blended_fan_rejects_a_collar_that_does_not_compress(m_burgers, u0,
 
 
 def test_plateau_mass_is_the_exact_label_integral(tanh_flow):
-    rho0 = expr.as_expression("exp(0-x^2)", ("x",))
+    rho0 = expr.as_expression("exp(0-x^2)")
     for t in (0.3, 0.6, 1.0):
         m_l, m_r = regularize._cluster_labels(tanh_flow, t)
         exact = 0.5 * math.sqrt(math.pi) * (math.erf(m_r) - math.erf(m_l))

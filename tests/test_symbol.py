@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tunnelshock import symbol
+from tunnelshock import oracle, symbol
 from tunnelshock.symbol import (
     NoRootError,
     RangeError,
@@ -74,6 +74,20 @@ def test_time_dependence_gate():
         make_symbol(A="0.5*(1+t)")
     with pytest.raises(SymbolError):
         make_symbol(jumps=((1.0, "exp(0-y^2)"),))
+
+
+def test_spatially_homogeneous_reads_the_parsed_trees():
+    # x in A only, in V only, or in one jump rate only
+    for m in (make_symbol(A="0.5*(1 + x^2)"), make_symbol(A="0.5", V="x"),
+              make_symbol(A="0.5", jumps=[(1.0, "1"), (-1.0, "exp(x)")])):
+        assert not m.spatially_homogeneous
+    # constants written as arithmetic or as calls
+    m = make_symbol(A="0.5*2", V="exp(1)", jumps=[(1.0, "exp(1)")])
+    assert m.spatially_homogeneous
+    # the tree of x*0 still names x, whatever its value
+    assert not make_symbol(A="0.5", V="x*0").spatially_homogeneous
+    with pytest.raises(oracle.OracleError, match="x-independent"):
+        oracle.hopf_lax_grid(pure_jump(lam="1 + x^2"), "x^2/2", [0.0], 1.0)
 
 
 def test_legendre_burgers_closed_form():
