@@ -11,6 +11,7 @@ Classic fourth-order Runge-Kutta with a fixed step and a step-doubling
 local error monitor.
 """
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,7 +154,18 @@ def monitored_step(rhs, t, y, h):
     return two
 
 
-def integrate_fan(m, S0, x0, T, h_t, store_every=1, S0_prime=None):
+def stored_times(T, h_t, store_every):
+    """Stored instants of a fan from 0 to T: 0 and each store_every-th step."""
+    n_steps = int(round(T / h_t))
+    if abs(n_steps * h_t - T) > 1e-9 * max(1.0, abs(T)):
+        raise CharacteristicsError("T must be a whole number of h_t steps")
+    if n_steps % store_every != 0:
+        raise CharacteristicsError("store_every must divide the step count")
+    return h_t * store_every * np.arange(n_steps // store_every + 1)
+
+
+def integrate_fan(m, S0, x0, T, h_t, store_every=1, S0_prime=None,
+                  store=None, on_store=None):
     """Integrate a fan of characteristics from 0 to T.
 
     Args:
@@ -164,17 +176,15 @@ def integrate_fan(m, S0, x0, T, h_t, store_every=1, S0_prime=None):
             is stored, and T/h_t must be a whole multiple of store_every.
         S0_prime: optional override for S0', an expression in x; by default
             the exact derivative of S0.  S0'' is the exact derivative of S0'.
+        store, on_store: optional (field, time, label) array to fill, fields
+            in ``_FIELDS`` order, and a callable given each index stored.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim != 1 or x0.size < 1:
         raise CharacteristicsError("x0 must be a 1-d array of labels")
     if np.any(np.diff(x0) <= 0):
         raise CharacteristicsError("x0 labels must increase strictly")
-    n_steps = int(round(T / h_t))
-    if abs(n_steps * h_t - T) > 1e-9 * max(1.0, abs(T)):
-        raise CharacteristicsError("T must be a whole number of h_t steps")
-    if n_steps % store_every != 0:
-        raise CharacteristicsError("store_every must divide the step count")
+    times = stored_times(T, h_t, store_every)
 
     S0 = expr.as_expression(S0)
     S0_prime = (expr.diff(S0) if S0_prime is None
@@ -184,15 +194,14 @@ def integrate_fan(m, S0, x0, T, h_t, store_every=1, S0_prime=None):
                   np.zeros_like(x0)))  # rows in _FIELDS order
 
     rhs = hamiltonian_rhs(m)
-    n_stored = n_steps // store_every + 1
-    store = np.empty((len(_FIELDS), n_stored, x0.size))
-    store[:, 0] = y
-    times = h_t * store_every * np.arange(n_stored)
-
-    for k in range(n_steps):
-        y = monitored_step(rhs, k * h_t, y, h_t)
-        if (k + 1) % store_every == 0:
-            store[:, (k + 1) // store_every] = y
+    if store is None:
+        store = np.empty((len(_FIELDS), times.size, x0.size))
+    for i in range(times.size):
+        for k in range(max(i - 1, 0) * store_every, i * store_every):
+            y = monitored_step(rhs, k * h_t, y, h_t)
+        store[:, i] = y
+        if on_store is not None:
+            on_store(i)
 
     return Fan(symbol=m, x0=x0, times=times, h_t=h_t, rhs=rhs,
                **dict(zip(_FIELDS, store)))
@@ -214,16 +223,25 @@ def jacobian_check(fan, i_t=None):
     return worst
 
 
-def fan_to_csv(fan, path):
-    """Dump (t, x0, x, p, S, J, a_int) rows, time-major then label order,
-    with the 17-digit float text of ``textio.format_float``.  Each label
-    and stored time is formatted once; each time's rows are one ``%`` call
-    over a template whose five varying columns are ``%.17g``."""
+def fan_to_csv(fan, path, indices=None):
+    """Dump (t, x0, x, p, S, J, a_int) rows, time-major then label order, in
+    ``textio.format_float``'s 17-digit text: every stored time, or each index
+    ``indices`` yields, as it yields it, to a partial file that replaces
+    ``path`` after the last or is removed if the writing raises.  Labels and
+    times are formatted once; a time's rows are one ``%`` call over a
+    template whose five varying columns are ``%.17g``."""
     tails = [f",{format_float(v)}" + ",%.17g" * 5 + "\n" for v in fan.x0]
-    with open(path, "w") as f:
-        f.write("t,x0,x,p,S,J,a_int\n")
-        for i, t in enumerate(fan.times):
-            t = format_float(t)
-            cols = np.column_stack([getattr(fan, c)[i]
-                                    for c in ("x", "p", "S", "J", "a_int")])
-            f.write((t + t.join(tails)) % tuple(cols.ravel().tolist()))
+    part = f"{path}.part"
+    f = open(part, "w")
+    try:
+        with f:
+            f.write("t,x0,x,p,S,J,a_int\n")
+            for i in range(fan.times.size) if indices is None else indices:
+                t = format_float(fan.times[i])
+                cols = np.column_stack(
+                    (fan.x[i], fan.p[i], fan.S[i], fan.J[i], fan.a_int[i]))
+                f.write((t + t.join(tails)) % tuple(cols.ravel().tolist()))
+    except BaseException:
+        os.unlink(part)
+        raise
+    os.replace(part, path)

@@ -4,7 +4,9 @@ Exit codes: 0 success, 2 scenario/flag validation error, 3 numerical
 failure inside the pipeline, 64 unknown subcommand, 66 missing file.
 """
 
+import contextlib
 import json
+import mmap
 import os
 import sys
 
@@ -37,7 +39,7 @@ subcommands:
 
 --threads (or TUNNELSHOCK_THREADS) is the number of processes a run may
 use, by default the CPUs this process may run on.  At 2 or more, evolve
-writes fan.csv in a forked child while it builds the density; at 1 it
+forks a child that writes fan.csv while the fan is integrated; at 1 it
 writes in process.  Outputs are byte-identical at any value.
 """
 
@@ -50,11 +52,14 @@ _NUMERICAL_ERRORS = (symbol.SymbolError, characteristics.CharacteristicsError,
 # ---------------------------------------------------------------------------
 # shared pipeline pieces
 
-def _build_fan(sc):
-    x0 = np.linspace(sc.x_min, sc.x_max, sc.n_x0)
+def _labels(sc):
+    return np.linspace(sc.x_min, sc.x_max, sc.n_x0)
+
+
+def _build_fan(sc, store=None, on_store=None):
     return characteristics.integrate_fan(
-        sc.m, sc.S0, x0, T=sc.T, h_t=sc.h_t, store_every=sc.store_every,
-        S0_prime=sc.S0_prime)
+        sc.m, sc.S0, _labels(sc), T=sc.T, h_t=sc.h_t, S0_prime=sc.S0_prime,
+        store_every=sc.store_every, store=store, on_store=on_store)
 
 
 def _slice_times(fan, count=9):
@@ -88,23 +93,12 @@ def _amplitude_rows(shocks):
     return rows
 
 
-def _fork_fan_csv(fan, path):
-    """Start a child that writes fan.csv and ends with ``os._exit``, so it
-    never returns into the caller's stack or flushes its stdio buffers.
-    Whatever the write raises goes to fd 2 and the child exits 1; nothing
-    may unwind out of it, so the child re-raises nothing."""
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            characteristics.fan_to_csv(fan, path)
-            status = 0
-        except BaseException as ex:
-            msg = f"writing {path}: {type(ex).__name__}: {ex}\n"
-            os.write(2, msg.encode(errors="replace"))
-        finally:
-            os._exit(status)
-    return pid
+def _stored_indices(fd, n):
+    """Yield range(n) as bytes arrive on fd; EOFError if it ends first."""
+    for i in range(n):
+        if not os.read(fd, 1):
+            raise EOFError(f"the fan stopped before stored time {i}")
+        yield i
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +106,43 @@ def _fork_fan_csv(fan, path):
 # process count, and returns the list of CSV files it wrote
 
 def _run_evolve(sc, out, seed, threads):
-    fan = _build_fan(sc)
     path = os.path.join(out, "fan.csv")
     if threads == 1 or not hasattr(os, "fork"):
+        fan = _build_fan(sc)
         characteristics.fan_to_csv(fan, path)
         return _evolve_slices(sc, out, fan)
-    # the CSV dump of the fan is formatting under the GIL; a second process
-    # writes it while this one builds the density and samples the slices
-    pid = _fork_fan_csv(fan, path)
+    # formatting fan.csv holds the GIL: a forked child formats each stored
+    # time once this process has integrated it into shared memory
+    times = characteristics.stored_times(sc.T, sc.h_t, sc.store_every)
+    shape = (len(characteristics._FIELDS), times.size, sc.n_x0)
+    store = np.ndarray(shape, buffer=mmap.mmap(-1, 8 * int(np.prod(shape))))
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # ends in os._exit: never returns or flushes stdio
+        status = 1
+        try:
+            os.close(w)
+            characteristics.fan_to_csv(characteristics.Fan(
+                symbol=sc.m, x0=_labels(sc), times=times, h_t=sc.h_t,
+                **dict(zip(characteristics._FIELDS, store))), path,
+                _stored_indices(r, times.size))
+            status = 0
+        except EOFError:  # the integration failed; the parent reports it
+            status = 0
+        except BaseException as ex:
+            msg = f"writing {path}: {type(ex).__name__}: {ex}\n"
+            os.write(2, msg.encode(errors="replace"))
+        finally:
+            os._exit(status)
+    os.close(r)
+
+    def report(i):
+        with contextlib.suppress(BrokenPipeError):  # the writer died early
+            pipe.write(b"\1")
+
     try:
+        with open(w, "wb", buffering=0) as pipe:
+            fan = _build_fan(sc, store, report)
         return _evolve_slices(sc, out, fan)
     finally:
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])

@@ -1,9 +1,12 @@
+import contextlib
+import os
 import re
 
 import numpy as np
 import pytest
 
 from tunnelshock import characteristics as ch
+from tunnelshock import cli
 from tunnelshock.textio import write_csv
 from tunnelshock.symbol import make_symbol
 
@@ -212,6 +215,19 @@ def test_fan_csv_matches_write_csv(tmp_path, n_t, n):
               rows)
     got = (tmp_path / "fan.csv").read_bytes()
     assert got == (tmp_path / "ref.csv").read_bytes()
+    # the streamed writer of evolve writes each stored time as its byte
+    # arrives; a pipe that ends early leaves the earlier file as it was
+    for told in (n_t, n_t - 1):
+        r, w = os.pipe()
+        os.write(w, b"\1" * told)
+        os.close(w)
+        with open(r, "rb"), (pytest.raises(EOFError) if told < n_t
+                             else contextlib.nullcontext()):
+            ch.fan_to_csv(fan, tmp_path / "streamed.csv",
+                          cli._stored_indices(r, n_t))
+        assert (tmp_path / "streamed.csv").read_bytes() == got
+        assert sorted(os.listdir(tmp_path)) == ["fan.csv", "ref.csv",
+                                                "streamed.csv"]
     assert got.splitlines()[1] == (
         b"-0,-1.5,-0,1.0000000000000001e-05,-3,0.10000000000000001,0")
     assert (b"1e+17" in got) == (n_t * n > 1)

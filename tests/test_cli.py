@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -94,14 +95,14 @@ def test_evolve_rows_stay_in_the_label_window(tmp_path, monkeypatch):
     fans = []
     build_fan = cli._build_fan
 
-    def build(sc):
-        fans.append(build_fan(sc))
+    def build(sc, *fill):
+        fans.append(build_fan(sc, *fill))
         return fans[-1]
 
     monkeypatch.setattr(cli, "_build_fan", build)
     # fan.csv is not under test
     monkeypatch.setattr(cli.characteristics, "fan_to_csv",
-                        lambda fan, path: None)
+                        lambda fan, path, indices=None: None)
     out = tmp_path / "run"
     rc = cli.main(["evolve", "--scenario", preset("merging_fronts.ini"),
                    "--out", str(out)])
@@ -248,7 +249,7 @@ def test_evolve_forked_writer_bytes_and_typed_failure(tmp_path, monkeypatch):
 
 def test_evolve_writer_failure_raises_in_the_parent(tmp_path, monkeypatch,
                                                     capfd):
-    def fail(fan, path):
+    def fail(fan, path, indices=None):
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(cli.characteristics, "fan_to_csv", fail)
@@ -257,6 +258,94 @@ def test_evolve_writer_failure_raises_in_the_parent(tmp_path, monkeypatch,
         cli.main(["evolve", "--scenario", sc, "--threads", "2",
                   "--out", str(tmp_path / "run")])
     assert "No space left on device" in capfd.readouterr().err
+
+
+def test_evolve_writer_dead_before_the_first_store(tmp_path, monkeypatch,
+                                                   capfd):
+    # the writer has exited before the integrator reports a stored time, so
+    # every report meets a closed pipe: the integration still completes, and
+    # the parent reports the writer's status, not BrokenPipeError
+    def fail(fan, path, indices=None):
+        raise OSError(28, "No space left on device")
+
+    build_fan = cli._build_fan
+    fans = []
+
+    def build_after_the_writer_exits(sc, *fill):
+        # WNOWAIT leaves the writer for the parent to reap
+        deadline = time.monotonic() + 20
+        while os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT
+                        | os.WNOHANG) is None:
+            assert time.monotonic() < deadline, "the writer did not exit"
+            time.sleep(0.01)
+        fans.append(build_fan(sc, *fill))
+        return fans[-1]
+
+    monkeypatch.setattr(cli.characteristics, "fan_to_csv", fail)
+    monkeypatch.setattr(cli, "_build_fan", build_after_the_writer_exits)
+    sc = write_ini(tmp_path, MINIMAL)
+    with pytest.raises(OSError, match="exited with status 1") as info:
+        cli.main(["evolve", "--scenario", sc, "--threads", "2",
+                  "--out", str(tmp_path / "run")])
+    assert type(info.value) is OSError
+    assert len(fans) == 1
+    assert "No space left on device" in capfd.readouterr().err
+
+
+def test_evolve_integration_failure_leaves_the_old_fan_csv(tmp_path,
+                                                           monkeypatch,
+                                                           capfd):
+    # a typed failure after the writer has written some stored times: exit
+    # 3, the old fan.csv untouched and no partial file left behind
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "fan.csv").write_bytes(b"t,x0,x,p,S,J,a_int\nold\n")
+    step = cli.characteristics.monitored_step
+    calls = []
+
+    def failing_step(rhs, t, y, h):
+        calls.append(t)
+        if len(calls) == 100:  # stored times 0 to 4 are reported by now
+            part = out / "fan.csv.part"
+            deadline = time.monotonic() + 20
+            while not (part.exists() and part.stat().st_size > 0):
+                assert time.monotonic() < deadline, "the writer wrote nothing"
+                time.sleep(0.01)
+            raise cli.characteristics.StepSizeError("forced at step 100")
+        return step(rhs, t, y, h)
+
+    monkeypatch.setattr(cli.characteristics, "monitored_step", failing_step)
+    sc = write_ini(tmp_path, MINIMAL)
+    assert cli.main(["evolve", "--scenario", sc, "--threads", "2",
+                     "--out", str(out)]) == 3
+    assert "numerical failure: forced at step 100" in capfd.readouterr().err
+    assert os.listdir(out) == ["fan.csv"]
+    assert (out / "fan.csv").read_bytes() == b"t,x0,x,p,S,J,a_int\nold\n"
+
+
+def test_evolve_forks_before_the_first_stored_time(tmp_path, monkeypatch):
+    # the writer formats while the fan is integrated, so it must exist
+    # before the integrator stores its first state
+    events = []
+    fork = os.fork
+    build_fan = cli._build_fan
+
+    def logged_fork():
+        events.append("fork")
+        return fork()
+
+    def build(sc, store, on_store):
+        def logged(i):
+            events.append(i)
+            on_store(i)
+        return build_fan(sc, store, logged)
+
+    monkeypatch.setattr(os, "fork", logged_fork)
+    monkeypatch.setattr(cli, "_build_fan", build)
+    sc = write_ini(tmp_path, MINIMAL)
+    assert cli.main(["evolve", "--scenario", sc, "--threads", "2",
+                     "--out", str(tmp_path / "run")]) == 0
+    assert events == ["fork"] + list(range(11))  # T / (h_t * store_every)
 
 
 def test_exit_codes(tmp_path, capsys):
