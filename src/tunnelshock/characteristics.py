@@ -60,6 +60,17 @@ class Fan:
             raise CharacteristicsError(f"time {t!r} is not on the stored grid")
         return idx
 
+    def window(self, t=None):
+        """The label-tracked window [x(t; x0[0]), x(t; x0[-1])] at the
+        stored time t, or its intersection over every stored time.  Its
+        ends ride the first and last characteristic; outside it only
+        branches that folded back cover a point, and the true minimizer
+        there may start from a label outside the box."""
+        if t is None:
+            return float(self.x[:, 0].max()), float(self.x[:, -1].min())
+        i_t = self.index_of_time(t)
+        return float(self.x[i_t, 0]), float(self.x[i_t, -1])
+
     def state(self, i_t):
         return {f: getattr(self, f)[i_t].copy() for f in _FIELDS}
 

@@ -71,15 +71,9 @@ def _slice_times(fan, count=9):
 
 
 def _slice_grid(gd, t, n=241):
-    """Query positions strictly inside the label-tracked window at time t.
-
-    The window runs between the images of the first and last label, the
-    span `density.mass_balance` integrates.  Outside it only branches that
-    folded back cover a point, and the true minimizer there may start from
-    a label outside the box.
-    """
-    i_t = gd.fan.index_of_time(t)
-    lo, hi = float(gd.fan.x[i_t, 0]), float(gd.fan.x[i_t, -1])
+    """Query positions strictly inside the label-tracked window at time t
+    (`Fan.window`), the span `density.mass_balance` integrates."""
+    lo, hi = gd.fan.window(t)
     pad = 1e-9 * (1.0 + hi - lo)
     return np.linspace(lo + pad, hi - pad, n)
 
@@ -87,6 +81,8 @@ def _slice_grid(gd, t, n=241):
 def _amplitude_rows(shocks):
     rows = []
     for rec in shocks:
+        if not rec.sampled:
+            continue
         for t, e in zip(rec.times, rec.e):
             rows.append((t, rec.id, e))
     rows.sort(key=lambda r: (r[1], r[0]))
@@ -201,7 +197,7 @@ def _run_shock(sc, out, seed, threads):
     merge_rows = []
     by_id = {rec.id: rec for rec in gd.shocks}
     for rec in sorted(gd.shocks, key=lambda r: r.id):
-        if len(rec.parents) == 2:
+        if len(rec.parents) == 2 and rec.sampled:
             pa, pb = (by_id[i] for i in rec.parents)
             merge_rows.append((rec.t_birth, rec.x_birth, float(rec.id),
                                float(pa.id), float(pb.id), pa.e_end, pb.e_end,

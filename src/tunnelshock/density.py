@@ -121,7 +121,7 @@ def attach_amplitudes(gd):
     by_id = {rec.id: rec for rec in gd.shocks}
     rho0 = functools.partial(expr.evaluate_at, gd.rho0)
     for rec in sorted(gd.shocks, key=lambda r: r.id):
-        if rec.times.size == 0:
+        if not rec.sampled:
             continue
         rho_l = rho0(rec.x0_l) * np.exp(-rec.aint_l)
         rho_r = rho0(rec.x0_r) * np.exp(-rec.aint_r)
@@ -207,9 +207,8 @@ def mass_balance(gd, t):
     of rho0 * exp(-a_int), which does not see J, by more than that.
     """
     fan = gd.fan
-    i_t = fan.index_of_time(t)
+    X_l, X_r = fan.window(t)
     curve = gd.curve_at(t)
-    X_l, X_r = float(fan.x[i_t, 0]), float(fan.x[i_t, -1])
     masses = gd.shock_masses(t)
     cuts = [x for x, _ in masses if X_l < x < X_r]
     inner = curve.x[(curve.x > X_l) & (curve.x < X_r)]

@@ -145,14 +145,6 @@ def _values(queries):
 
 
 @dataclass
-class FoldPoint:
-    x0: float
-    x: float
-    left_branch: int
-    right_branch: int
-
-
-@dataclass
 class LagrangianCurve:
     t: float
     symbol: object
@@ -164,7 +156,6 @@ class LagrangianCurve:
     dp: np.ndarray
     a_int: np.ndarray
     branches: list = field(default_factory=list)
-    folds: list = field(default_factory=list)
 
 
 def _decompose(curve, stencil=None):
@@ -192,17 +183,7 @@ def _decompose(curve, stencil=None):
                                x_lo=float(min(x[i], x[j])),
                                x_hi=float(max(x[i], x[j])),
                                data=(curve.x0, Y, D)))
-    # fold points: sign changes between adjacent samples
-    k = np.flatnonzero((s0 != 0) & (s1 != 0) & (s0 != s1))
-    w = J[k] / (J[k] - J[k + 1])
-    x0z = curve.x0[k] + w * (curve.x0[k + 1] - curve.x0[k])
-    xz = x[k] + w * (x[k + 1] - x[k])
-    ends_at = {b.rows.stop - 1: b.index for b in branches}
-    starts_at = {b.rows.start: b.index for b in branches}
     curve.branches = branches
-    curve.folds = [FoldPoint(float(a), float(b), ends_at.get(kk, -1),
-                             starts_at.get(kk + 1, -1))
-                   for a, b, kk in zip(x0z, xz, k.tolist())]
     return curve
 
 
@@ -412,6 +393,15 @@ class ShockRecord:
     e_end: float = None   # amplitude carried to t_end
 
     @property
+    def sampled(self):
+        """Whether the tracker found an equal-action root on a stored time.
+        A shock born in the last store intervals before T, or a merge child
+        that finds no root before T, has none: its path arrays are empty,
+        e stays None and it has no life, so every reader of the path skips
+        it."""
+        return self.times is not None and self.times.size > 0
+
+    @property
     def life(self):
         """First and last knot time: the birth and the handoff, where they
         lie more than 1e-15 outside the stored samples, else the samples'
@@ -536,17 +526,6 @@ def _equal_action_root(curve, x_guess, w0):
     return None
 
 
-def _fold_midpoint(curve, x_guess):
-    if not curve.folds:
-        return None
-    xs = np.array([f.x for f in curve.folds])
-    order = np.argsort(np.abs(xs - x_guess))
-    if xs.size >= 2:
-        a, b = xs[order[0]], xs[order[1]]
-        return 0.5 * (a + b)
-    return float(xs[order[0]])
-
-
 class _Tracker:
     def __init__(self, shock_id, t_birth, x_birth, parents=(), x0_birth=None):
         self.id = shock_id
@@ -559,28 +538,31 @@ class _Tracker:
         self.merged_into = -1
 
     def step(self, fan, curve, w0):
-        """Add the sample of this slice; w0 is the slice's probe width.
-
-        The sample sits at the equal-action root when there is one, else
-        at the fold midpoint."""
+        """Add the sample of this slice, at the equal-action root of its
+        one-sided branches; w0 is the slice's probe width.  A root whose
+        left label does not lie below its right one is no root."""
         hit = _equal_action_root(curve, self.x_prev, w0)
         if hit is not None:
             x_s, _, _, *rows = hit
-        else:
-            x_s = _fold_midpoint(curve, self.x_prev)
-            if x_s is None:
-                # birth so close to a grid node that the fold is not yet
-                # numerically resolved; skip until it opens up
-                dt_store = float(fan.times[1] - fan.times[0]) if fan.times.size > 1 else fan.h_t
-                if self.samples or curve.t - self.t_birth > 5 * dt_store:
-                    raise ManifoldError(
-                        f"shock {self.id}: no fold and no equal-action "
-                        f"root at t={curve.t:g}")
-                return False
-            bl, br = _essential_branches_near(curve, x_s, w0)
-            rows = _values([(b, np.clip(x_s, b.x_lo, b.x_hi))
-                            for b in (bl, br)]).T
-        sl, sr = (dict(zip(_CURVE_FIELDS, v.tolist())) for v in rows)
+            sl, sr = (dict(zip(_CURVE_FIELDS, v.tolist())) for v in rows)
+        if hit is None or not sl["x0"] < sr["x0"]:
+            if self.samples:
+                # the shock has taken in a label box edge: the one-sided
+                # states now start outside the box
+                last = self.samples[-1]
+                raise ManifoldError(
+                    f"shock {self.id}: no equal-action root at "
+                    f"t={curve.t:g}; last one-sided labels "
+                    f"{last['x0_l']:.3g}, {last['x0_r']:.3g} in the label box "
+                    f"[{fan.x0[0]:g}, {fan.x0[-1]:g}]; widen [x_min, x_max]")
+            # birth so close to a grid node that the fold is not yet
+            # numerically resolved; skip until it opens up
+            dt_store = float(fan.times[1] - fan.times[0]) if fan.times.size > 1 else fan.h_t
+            if curve.t - self.t_birth > 5 * dt_store:
+                raise ManifoldError(
+                    f"shock {self.id}: no equal-action root within 5 store "
+                    f"intervals of its birth, at t={curve.t:g}")
+            return
         self.samples.append(dict(t=curve.t, x_s=x_s, p_l=sl["p"], p_r=sr["p"],
                                  x0_l=sl["x0"], x0_r=sr["x0"],
                                  J_l=sl["J"], J_r=sr["J"],
@@ -607,10 +589,10 @@ class _Tracker:
 def check_admissibility(rec):
     """Lax inequalities u_l >= c >= u_r at every path sample.
 
-    Strict (tolerance LAX_TOL) where the momentum jump is resolved; right
-    at birth the one-sided states coincide and the discrete path speed only
-    carries first-order accuracy, so unresolved samples get a slack tied to
-    the jump magnitude instead.
+    Strict (tolerance LAX_TOL) where the momentum jump is resolved; a
+    sample with |p_l - p_r| <= P_GAP gets a slack tied to the path speed
+    instead.  Every sample sits at an equal-action root with ordered labels,
+    and no such sample has been measured unresolved.
     """
     resolved = np.abs(rec.p_l - rec.p_r) > P_GAP
     slack = np.where(resolved, LAX_TOL, LAX_TOL + 1e-2 * (1.0 + np.abs(rec.c)))
@@ -698,7 +680,7 @@ def track_shocks(fan):
     records = [tr.to_record(fan.symbol)
                for tr in sorted(trackers, key=lambda tr: tr.id)]
     for rec in records:
-        if rec.times.size:
+        if rec.sampled:
             check_admissibility(rec)
             check_speed_consistency(rec, fan.symbol)
             rec.t_end = float(rec.times[-1])

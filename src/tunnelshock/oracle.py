@@ -373,7 +373,7 @@ def comparison_mask(gd, t, xs, dx, h):
         counts += b.covers(xs)
     keep = counts == 1
     for rec in gd.shocks:
-        if not rec.alive(t):
+        if not rec.sampled or not rec.alive(t):
             continue
         vals = rec.at(t)
         gap = abs(vals["p_l"] - vals["p_r"])

@@ -417,8 +417,7 @@ def limit_study(m, S0, rho0, eps_schedule, T, S0_prime=None, betas=None,
         if gd.shocks else (math.inf, math.nan)
     shocked = math.isfinite(t_star) and t_star < T
 
-    cov_lo = float(fan.x[:, 0].max())
-    cov_hi = float(fan.x[:, -1].min())
+    cov_lo, cov_hi = fan.window()
     pad = 0.02 * (cov_hi - cov_lo)
     xs = np.linspace(cov_lo + pad, cov_hi - pad, N_X)
     ts = np.linspace(T / N_TIMES, T, N_TIMES)
@@ -429,7 +428,8 @@ def limit_study(m, S0, rho0, eps_schedule, T, S0_prime=None, betas=None,
         mask = np.ones(xs.shape, dtype=bool)
         if shocked and t >= t_star - COLLAR_LEAD:
             for rec in gd.shocks:
-                x_c = rec.at(t)["x_s"]
+                # a shock with no sample yet sits at its birth point
+                x_c = rec.at(t)["x_s"] if rec.sampled else rec.x_birth
                 mask &= np.abs(xs - x_c) > COLLAR_HALFWIDTH
         outer.append(xs[mask])
         R_ref.append(gd.fields(float(t), xs[mask])["R"])

@@ -73,8 +73,7 @@ def _simpson_weights(panels, length):
 
 def _tracked(gd):
     """The shock records that carry path samples, each with amplitudes."""
-    live = [rec for rec in gd.shocks
-            if rec.times is not None and rec.times.size]
+    live = [rec for rec in gd.shocks if rec.sampled]
     for rec in live:
         if rec.e is None:
             raise VerifyError(f"shock {rec.id} carries no amplitude samples")
@@ -212,15 +211,6 @@ class IdentityReport:
         return rows
 
 
-def _coverage_window(fan):
-    """x-interval covered by the fan at every stored time."""
-    x_lo = float(np.max(fan.x[:, 0]))
-    x_hi = float(np.min(fan.x[:, -1]))
-    if not x_hi > x_lo:
-        raise VerifyError("fan rows leave no commonly covered x-window")
-    return x_lo, x_hi
-
-
 def _path_excursion(rec, t_lo, t_hi, x_ref):
     lo, hi = rec.life
     tt = np.linspace(max(t_lo, lo), min(t_hi, hi), 65)
@@ -252,7 +242,9 @@ def identity_suite(gd, count, seed, levels=SUITE_LEVELS):
         raise VerifyError("count must be >= 1")
     fan = gd.fan
     t_hi_dom = float(fan.times[-1])
-    x_lo, x_hi = _coverage_window(fan)
+    x_lo, x_hi = fan.window()
+    if not x_hi > x_lo:
+        raise VerifyError("fan rows leave no commonly covered x-window")
     span = x_hi - x_lo
     live = sorted(_tracked(gd), key=lambda r: r.id)
 
@@ -359,7 +351,7 @@ def hj_residual(slices, m, shocks=(), collar=3):
     defect = np.abs(S_t + symbol.eval_P(m, xx, S_x))
     keep = np.ones(defect.shape, dtype=bool)
     for rec in shocks:
-        if rec.times is None or rec.times.size == 0:
+        if not rec.sampled:
             continue
         path = rec.at(ts[1:-1])
         w = collar * (h + (1.0 + np.abs(path["c"])) * dt)

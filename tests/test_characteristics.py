@@ -14,6 +14,19 @@ from tunnelshock.symbol import make_symbol
 BURGERS = make_symbol(A="0.5")
 
 
+def test_window_rides_the_end_labels():
+    # S0 = 2x under P = p^2/2 carries every label at speed 2: the window at
+    # a stored t is the image of the box, and over all stored times the
+    # images of [-0.5, 0.5] at t = 0 and t = 0.4 leave [-0.5 + 0.8, 0.5]
+    fan = ch.integrate_fan(BURGERS, "2*x", np.linspace(-0.5, 0.5, 11),
+                           T=0.4, h_t=0.1, S0_prime="2")
+    assert fan.window(0.2) == (fan.x[2, 0], fan.x[2, -1])
+    assert np.allclose(fan.window(0.2), (-0.1, 0.9), atol=1e-12)
+    assert np.allclose(fan.window(), (0.3, 0.5), atol=1e-12)
+    with pytest.raises(ch.CharacteristicsError, match="not on the stored"):
+        fan.window(0.25)
+
+
 def test_focusing_closed_form():
     # S0 = -x^2/2 under P = p^2/2: x = x0(1-t), p = -x0, J = 1-t,
     # S = -x0^2 (1-t)/2, a = 0

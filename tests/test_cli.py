@@ -171,6 +171,63 @@ def test_shock_path_front(tmp_path):
         assert len(f.readlines()) == 1  # header only: nothing merges
 
 
+FRONT2_MERGE = """\
+[symbol]
+A = 0.89478
+
+[initial]
+S0 = 0.396803*log(sech((x+1.146178)/0.396803)) + 0.396803*log(sech((x-1.146178)/0.396803))
+S0_prime = 0-tanh((x+1.146178)/0.396803)-tanh((x-1.146178)/0.396803)
+rho0 = 1
+
+[domain]
+x_min = -3
+x_max = 3
+n_x0 = 801
+T = 1
+h_t = 5e-3
+store_every = 2
+"""
+
+
+def test_shock_that_takes_in_the_label_box_exits_3(tmp_path, capsys):
+    # the merged shock of two fronts loses its equal-action root once it
+    # has taken in both edges of the label box: a typed failure that names
+    # the box, and no shock_path.csv
+    out = tmp_path / "run"
+    rc = cli.main(["shock", "--scenario", write_ini(tmp_path, FRONT2_MERGE),
+                   "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "no equal-action root" in err and "[-3, 3]" in err
+    assert "widen [x_min, x_max]" in err
+    assert not (out / "shock_path.csv").exists()
+
+
+def test_shock_born_in_the_last_store_interval_has_no_samples(tmp_path):
+    # riemann's fold falls on the stored time t = 0.05: stopped there, its
+    # shock has no equal-action root yet.  The record keeps its birth but no
+    # samples, and every writer leaves it out instead of failing on it
+    with open(preset("riemann.ini")) as f:
+        ini = write_ini(tmp_path, f.read().replace("T = 1.0", "T = 0.05"))
+    out = tmp_path / "run"
+    assert cli.main(["shock", "--scenario", ini, "--out", str(out)]) == 0
+    for name in ("shock_path.csv", "amplitudes.csv", "merges.csv"):
+        assert len((out / name).read_text().splitlines()) == 1  # header only
+    assert cli.main(["limit-study", "--scenario", ini,
+                     "--out", str(tmp_path / "limit")]) == 0
+    # evolve's slice grid holds the fold point itself at t = 0.05, where no
+    # branch covers it: a typed failure, not a crash
+    assert cli.main(["evolve", "--scenario", ini, "--threads", "1",
+                     "--out", str(tmp_path / "evolve")]) in (0, 3)
+    sc = scenario.load(ini)
+    gd = density.build_density(cli._build_fan(sc), rho0=sc.rho0)
+    rec, = gd.shocks
+    assert abs(rec.t_birth - 0.05) < 1e-9
+    assert not rec.sampled and rec.e is None
+    assert gd.shock_masses(sc.T) == []
+
+
 def test_verify_seeded_and_byte_identical(tmp_path, monkeypatch):
     sc = write_ini(tmp_path, MINIMAL + "\n[verify]\nbumps = 4\n")
     monkeypatch.setenv("TUNNELSHOCK_THREADS", "5")

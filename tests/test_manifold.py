@@ -33,25 +33,23 @@ def test_branches_pre_fold_single(tanh_fan):
     curve = manifold.slice_fan(tanh_fan, 0.5)
     assert len(curve.branches) == 1
     assert curve.branches[0].sign == 1.0
-    assert curve.folds == []
 
 
 def test_branches_post_fold_three(tanh_fan):
     curve = manifold.slice_fan(tanh_fan, 1.5)
     signs = [b.sign for b in curve.branches]
     assert signs == [1.0, -1.0, 1.0]
-    assert len(curve.folds) == 2
-    # fold projections straddle the crossing and connect adjacent branches
-    f0, f1 = curve.folds
-    assert f0.left_branch == 0 and f0.right_branch == 1
-    assert f1.left_branch == 1 and f1.right_branch == 2
+    # adjacent branches meet at the folds, between neighbouring labels
+    b0, b1, b2 = curve.branches
+    assert b0.rows.stop == b1.rows.start and b1.rows.stop == b2.rows.start
     # x = x0 - 1.5*tanh(x0) has turning points where sech^2 = 1/1.5;
     # the fold at positive label projects across the crossing to x < 0
     x0_turn = np.arccosh(np.sqrt(1.5))
     x_turn = x0_turn - 1.5 * np.tanh(x0_turn)
     assert x_turn < 0
-    assert abs(f1.x0 - x0_turn) < 5e-3
-    assert abs(f1.x - x_turn) < 5e-3
+    for k in (b1.rows.stop - 1, b2.rows.start):  # the rows around the fold
+        assert abs(curve.x0[k] - x0_turn) < 5e-3
+        assert abs(curve.x[k] - x_turn) < 5e-3
 
 
 def test_first_singularity_location(tanh_fan):
@@ -235,8 +233,7 @@ def test_equal_action_root_closes_the_action_gap_at_every_sample(
         preset, request):
     # the label-space Newton leaves both one-sided labels on the shock:
     # read back through Branch.values at x_s, each branch returns its
-    # recorded label, and the two actions agree.  The one exception is a
-    # birth sample taken at the fold midpoint before the branches overlap
+    # recorded label, and the two actions agree
     gd = request.getfixturevalue(preset)
     for rec in gd.shocks:
         for k, t in enumerate(rec.times):
@@ -245,9 +242,6 @@ def test_equal_action_root_closes_the_action_gap_at_every_sample(
             bl, br = (next(b for b in curve.branches
                            if curve.x0[b.rows.start] <= lab
                            <= curve.x0[b.rows.stop - 1]) for lab in labels)
-            if not (bl.covers(rec.x_s[k]) and br.covers(rec.x_s[k])):
-                assert k == 0 and not rec.parents
-                continue
             rows = bl.values(rec.x_s[k]), br.values(rec.x_s[k])
             for row, lab in zip(rows, labels):
                 assert abs(row[0] - lab) <= 1e-13 * (1 + abs(lab))
@@ -299,6 +293,35 @@ def test_two_shocks_merge(burgers):
     # parents stop at the crossing, the child picks up there
     assert a.times[-1] <= child.times[0] + 1e-12
     assert abs(a.x_s[-1] - b.x_s[-1]) < 0.05
+
+
+def _two_front_fan(A, c, w):
+    # a bench front2-merge draw: two fronts of width w centred at -c and c
+    # whose merged shock takes in the whole label box [-3, 3] before T = 1
+    s0 = f"{w}*log(sech((x+{c})/{w})) + {w}*log(sech((x-{c})/{w}))"
+    s0p = f"0-tanh((x+{c})/{w})-tanh((x-{c})/{w})"
+    return characteristics.integrate_fan(
+        symbol.make_symbol(A=A), s0, np.linspace(-3.0, 3.0, 801), T=1.0,
+        h_t=5e-3, store_every=2, S0_prime=s0p)
+
+
+@pytest.mark.parametrize("A, c, w, lost", [
+    ("0.89478", "1.146178", "0.396803", "t=0.84; last one-sided labels "
+     "-2.97, 2.97"),
+    # the last root, at t = 0.83, pairs the right edge's label on the left
+    # with the left edge's on the right: crossed labels are no root
+    ("0.89998", "1.140226", "0.41345", "t=0.83; last one-sided labels "
+     "-2.95, 2.95"),
+])
+def test_merged_shock_that_takes_in_the_label_box_raises(A, c, w, lost):
+    # past the last equal-action root the one-sided states would start
+    # outside the label box: no sample is placed there, the tracker raises
+    with pytest.raises(manifold.ManifoldError) as info:
+        manifold.track_shocks(_two_front_fan(A, c, w))
+    msg = str(info.value)
+    assert msg.startswith(f"shock 2: no equal-action root at {lost} in the "
+                          "label box [-3, 3]")
+    assert msg.endswith("widen [x_min, x_max]")
 
 
 def test_record_interpolation(tanh_fan):
@@ -370,7 +393,7 @@ def test_label_interpolant(sign):
     assert np.all(np.log2(errs[0] / errs[1]) > 3.5), errs
 
 
-def _decompose_loop(J, x, x0):
+def _decompose_loop(J, x):
     """Reference: the per-sample loop the vectorized _decompose replaced."""
     n = J.size
     signs = np.sign(J)
@@ -390,20 +413,7 @@ def _decompose_loop(J, x, x0):
             branches.append((slice(i, j + 1), float(s), float(min(x[i], x[j])),
                              float(max(x[i], x[j]))))
         i = j + 1
-    folds = []
-    for k in range(n - 1):
-        if signs[k] != 0 and signs[k + 1] != 0 and signs[k] != signs[k + 1]:
-            w = J[k] / (J[k] - J[k + 1])
-            x0z = x0[k] + w * (x0[k + 1] - x0[k])
-            xz = x[k] + w * (x[k + 1] - x[k])
-            bl = br = -1
-            for idx, (rows, *_) in enumerate(branches):
-                if rows.stop - 1 == k:
-                    bl = idx
-                if rows.start == k + 1:
-                    br = idx
-            folds.append((float(x0z), float(xz), bl, br))
-    return branches, folds
+    return branches
 
 
 def _decompose_cases():
@@ -437,12 +447,9 @@ def test_vectorized_decompose_matches_loop():
             S=np.zeros_like(x), J=J, dp=np.zeros_like(x),
             a_int=np.zeros_like(x))
         manifold._decompose(curve)
-        branches, folds = _decompose_loop(J, x, x0)
         got = [(b.rows, b.sign, b.x_lo, b.x_hi) for b in curve.branches]
-        assert got == branches
+        assert got == _decompose_loop(J, x)
         assert [b.index for b in curve.branches] == list(range(len(got)))
-        assert [(f.x0, f.x, f.left_branch, f.right_branch)
-                for f in curve.folds] == folds
 
 
 def _old_find_singularities(fan):

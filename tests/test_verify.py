@@ -88,6 +88,16 @@ def test_suite_count_must_be_positive(rarefaction_gd):
         verify.identity_suite(rarefaction_gd, 0, seed=1)
 
 
+def test_suite_needs_a_common_window(m_burgers):
+    # every label moves right at speed 2, so by t = 1 the box's image has
+    # left the box: no x is inside the label-tracked window at every time
+    fan = characteristics.integrate_fan(
+        m_burgers, "2*x", np.linspace(-0.5, 0.5, 11), T=1.0, h_t=0.1,
+        S0_prime="2")
+    with pytest.raises(verify.VerifyError, match="no commonly covered"):
+        verify.identity_suite(density.build_density(fan, "1"), 1, 0)
+
+
 def test_suite_deterministic(rarefaction_gd):
     r1 = verify.identity_suite(rarefaction_gd, 2, seed=11)
     r2 = verify.identity_suite(rarefaction_gd, 2, seed=11)
