@@ -12,8 +12,8 @@ import sys
 
 import numpy as np
 
-from . import (characteristics, density, expr, manifold, oracle, regularize,
-               scenario, symbol, verify)
+from . import (characteristics, density, expr, forkmap, manifold, oracle,
+               regularize, scenario, symbol, verify)
 from .textio import write_csv
 
 EXIT_OK = 0
@@ -39,8 +39,11 @@ subcommands:
 
 --threads (or TUNNELSHOCK_THREADS) is the number of processes a run may
 use, by default the CPUs this process may run on.  At 2 or more, evolve
-forks a child that writes fan.csv while the fan is integrated; at 1 it
-writes in process.  Outputs are byte-identical at any value.
+forks a child that writes fan.csv while the fan is integrated; verify
+deals its test bumps, oracle hopf-lax its four times, oracle kf-lattice
+its lattice runs (one per h) and oracle tunnel-compare its lattice runs
+and its fan over that many processes.  At 1 nothing forks.  Outputs,
+messages and exit codes are byte-identical at any value.
 """
 
 _NUMERICAL_ERRORS = (symbol.SymbolError, characteristics.CharacteristicsError,
@@ -113,23 +116,24 @@ def _run_evolve(sc, out, seed, threads):
     shape = (len(characteristics._FIELDS), times.size, sc.n_x0)
     store = np.ndarray(shape, buffer=mmap.mmap(-1, 8 * int(np.prod(shape))))
     r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # ends in os._exit: never returns or flushes stdio
-        status = 1
+
+    def write():
+        os.close(w)
         try:
-            os.close(w)
             characteristics.fan_to_csv(characteristics.Fan(
                 symbol=sc.m, x0=_labels(sc), times=times, h_t=sc.h_t,
                 **dict(zip(characteristics._FIELDS, store))), path,
                 _stored_indices(r, times.size))
-            status = 0
         except EOFError:  # the integration failed; the parent reports it
-            status = 0
+            pass
         except BaseException as ex:
+            # unlike a fork_map item, the parent cannot re-run the writer
+            # to raise this: the child says it on stderr
             msg = f"writing {path}: {type(ex).__name__}: {ex}\n"
             os.write(2, msg.encode(errors="replace"))
-        finally:
-            os._exit(status)
+            raise
+
+    pid, fd = forkmap.spawn(write)
     os.close(r)
 
     def report(i):
@@ -141,7 +145,7 @@ def _run_evolve(sc, out, seed, threads):
             fan = _build_fan(sc, store, report)
         return _evolve_slices(sc, out, fan)
     finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        code = forkmap.reap(pid, fd)[1]
         if code != 0:
             raise OSError(f"writer of {path} exited with status {code}")
 
@@ -211,7 +215,8 @@ def _run_shock(sc, out, seed, threads):
 def _run_verify(sc, out, seed, threads):
     fan = _build_fan(sc)
     gd = density.build_density(fan, rho0=sc.rho0)
-    report = verify.identity_suite(gd, count=sc.bumps, seed=seed)
+    report = verify.identity_suite(gd, count=sc.bumps, seed=seed,
+                                   threads=threads)
     write_csv(os.path.join(out, "verify.csv"),
               ("bump_id", "x_c", "t_c", "level", "residual", "order"),
               report.to_rows())
@@ -234,10 +239,10 @@ def _run_limit_study(sc, out, seed, threads):
 
 def _run_oracle_hopf_lax(sc, out, seed, threads):
     xs = np.linspace(sc.x_min, sc.x_max, 241)
+    ts = [frac * sc.T for frac in (0.25, 0.5, 0.75, 1.0)]
     rows = []
-    for frac in (0.25, 0.5, 0.75, 1.0):
-        t = frac * sc.T
-        S = oracle.hopf_lax_grid(sc.m, sc.S0, xs, t)
+    for t, S in zip(ts, forkmap.fork_map(
+            lambda t: oracle.hopf_lax_grid(sc.m, sc.S0, xs, t), ts, threads)):
         rows.extend((t, x, s) for x, s in zip(xs, S))
     write_csv(os.path.join(out, "hopf_lax.csv"), ("t", "x", "S"), rows)
     return ["hopf_lax.csv"]
@@ -258,22 +263,40 @@ def _run_oracle_godunov(sc, out, seed, threads):
     return ["godunov.csv"]
 
 
-def _lattice_fields(sc):
+def _lattice_u0(sc, h):
+    return f"exp(0-({sc.S0})/{h!r})*({sc.phi0})"
+
+
+def _lattice(sc, h):
+    """One lattice run, packed as [t, dt, reach, x..., values...] so that
+    it can cross a pipe."""
+    f0 = oracle.make_lattice(_lattice_u0(sc, h), h=h,
+                             x_box=(sc.x_min, sc.x_max), dx=sc.lattice_dx)
+    f = oracle.kf_lattice(sc.m, f0, T=sc.T)
+    return np.concatenate(([f.t, f.dt, f.reach], f.x, f.values))
+
+
+def _lattice_field(sc, h, packed):
+    x, values = np.split(np.asarray(packed)[3:], 2)
+    return oracle.LatticeField(
+        x=x, values=values, h=float(h),
+        u0=expr.as_expression(_lattice_u0(sc, h)), t=float(packed[0]),
+        dt=float(packed[1]), reach=int(packed[2]))
+
+
+def _h_schedule(sc):
     if not sc.h_schedule:
         raise scenario.ScenarioError(
             "[tunnel] h: required for lattice oracles")
-    fields = []
-    for h in sc.h_schedule:
-        u0 = f"exp(0-({sc.S0})/{h!r})*({sc.phi0})"
-        f0 = oracle.make_lattice(u0, h=h, x_box=(sc.x_min, sc.x_max),
-                                 dx=sc.lattice_dx)
-        fields.append(oracle.kf_lattice(sc.m, f0, T=sc.T))
-    return fields
+    return sc.h_schedule
 
 
 def _run_oracle_kf_lattice(sc, out, seed, threads):
+    hs = _h_schedule(sc)
     rows = []
-    for f in _lattice_fields(sc):
+    for h, packed in zip(hs, forkmap.fork_map(
+            lambda h: _lattice(sc, h), hs, threads)):
+        f = _lattice_field(sc, h, packed)
         logs = f.minus_h_log()
         for x, u, s in zip(f.x, f.values, logs):
             rows.append((f.h, f.t, x, u, s))
@@ -283,9 +306,18 @@ def _run_oracle_kf_lattice(sc, out, seed, threads):
 
 
 def _run_oracle_tunnel_compare(sc, out, seed, threads):
-    fields = _lattice_fields(sc)
-    fan = _build_fan(sc)
-    gd = density.build_density(fan, rho0=sc.rho0)
+    hs = _h_schedule(sc)
+
+    def run(i):  # item 0 is the density, which stays in this process
+        if i == 0:
+            return density.build_density(_build_fan(sc), rho0=sc.rho0)
+        return _lattice(sc, hs[i - 1])
+
+    # in process the lattices run first: a lattice failure wins
+    n = len(hs)
+    gd, *packed = forkmap.fork_map(run, range(n + 1), threads,
+                                   order=[*range(1, n + 1), 0])
+    fields = [_lattice_field(sc, h, a) for h, a in zip(hs, packed)]
     comparison = oracle.tunnel_compare(fields, gd, sc.window)
     write_csv(os.path.join(out, "compare.csv"),
               ("h", "E_of_h", "fitted_order"), comparison.rows())

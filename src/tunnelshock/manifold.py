@@ -19,6 +19,9 @@ TIE_TOL = 1e-9  # action ties resolved toward smaller |p|, then branch index
 P_GAP = 1e-4  # a momentum jump |p_l - p_r| above this is resolved
 LAX_TOL = 1e-10  # Lax inequalities where the jump is resolved
 SPEED_TOL = 1e-3  # path speed against the jump quotient, relative
+# a lost root blames the label box when a last one-sided label lies within
+# this many label spacings of its edge
+EDGE_SPACINGS = 10
 
 
 class ManifoldError(ValueError):
@@ -547,14 +550,22 @@ class _Tracker:
             sl, sr = (dict(zip(_CURVE_FIELDS, v.tolist())) for v in rows)
         if hit is None or not sl["x0"] < sr["x0"]:
             if self.samples:
-                # the shock has taken in a label box edge: the one-sided
-                # states now start outside the box
                 last = self.samples[-1]
+                lost = (f"shock {self.id}: no equal-action root at "
+                        f"t={curve.t:g}; last one-sided labels "
+                        f"{last['x0_l']:.3g}, {last['x0_r']:.3g}")
+                lo, hi = fan.x0[0], fan.x0[-1]
+                edge = EDGE_SPACINGS * (hi - lo) / (fan.x0.size - 1)
+                if min(min(x - lo, hi - x) for x in
+                       (last["x0_l"], last["x0_r"])) <= edge:
+                    # the shock has taken in a label box edge: the one-sided
+                    # states now start outside the box
+                    raise ManifoldError(
+                        f"{lost} in the label box [{lo:g}, {hi:g}]; widen "
+                        "[x_min, x_max]")
                 raise ManifoldError(
-                    f"shock {self.id}: no equal-action root at "
-                    f"t={curve.t:g}; last one-sided labels "
-                    f"{last['x0_l']:.3g}, {last['x0_r']:.3g} in the label box "
-                    f"[{fan.x0[0]:g}, {fan.x0[-1]:g}]; widen [x_min, x_max]")
+                    f"{lost}, more than {EDGE_SPACINGS} label spacings inside "
+                    "the label box: the root was lost away from its edges")
             # birth so close to a grid node that the fold is not yet
             # numerically resolved; skip until it opens up
             dt_store = float(fan.times[1] - fan.times[0]) if fan.times.size > 1 else fan.h_t

@@ -57,11 +57,6 @@ def _field_values(data, xs):
 # brute-force variational action
 
 
-def hopf_lax(m, S0, x, t, y_box=(-30.0, 30.0), n=2001):
-    """Minimum of S0(y) + t*L((x-y)/t) at one point; see hopf_lax_grid."""
-    return float(hopf_lax_grid(m, S0, [x], t, y_box=y_box, n=n)[0])
-
-
 def hopf_lax_grid(m, S0, xs, t, y_box=(-30.0, 30.0), n=2001):
     """Minimum of S0(y) + t*L((x-y)/t) for each x, by grid search with one
     refinement.

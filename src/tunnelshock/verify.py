@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import characteristics, density, manifold, symbol
+from . import characteristics, density, forkmap, manifold, symbol
 
 SUITE_LEVELS = (5, 6, 7)
 
@@ -229,7 +229,7 @@ def _bump_radius_x(x_c, excursion, x_lo, x_hi):
     return r_x
 
 
-def identity_suite(gd, count, seed, levels=SUITE_LEVELS):
+def identity_suite(gd, count, seed, levels=SUITE_LEVELS, threads=1):
     """Residual table over seeded bumps plus one per shock and per merge.
 
     Placement is deterministic for a given seed: every shock gets a bump
@@ -237,6 +237,8 @@ def identity_suite(gd, count, seed, levels=SUITE_LEVELS):
     on it, and `count` additional bumps are drawn uniformly inside the
     covered window, rejecting supports that contain a shock birth (the
     density ramp right after a fold would mask the quadrature order there).
+    The bumps' residual tables are dealt over up to `threads` processes
+    (`forkmap.fork_map`); the report does not depend on how many.
     """
     if int(count) < 1:
         raise VerifyError("count must be >= 1")
@@ -301,8 +303,8 @@ def identity_suite(gd, count, seed, levels=SUITE_LEVELS):
         kinds.append("random")
         placed += 1
 
-    residuals = np.array([identity_residuals(gd, zeta, levels)
-                          for zeta in bumps])
+    residuals = np.array(forkmap.fork_map(
+        lambda zeta: identity_residuals(gd, zeta, levels), bumps, threads))
     if not np.all(np.isfinite(residuals)):
         raise VerifyError("non-finite identity residual")
     orders = np.full_like(residuals, np.nan)

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -7,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from tunnelshock import cli, density, manifold, scenario
+from tunnelshock import cli, density, forkmap, manifold, oracle, scenario
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -202,6 +203,34 @@ def test_shock_that_takes_in_the_label_box_exits_3(tmp_path, capsys):
     assert "no equal-action root" in err and "[-3, 3]" in err
     assert "widen [x_min, x_max]" in err
     assert not (out / "shock_path.csv").exists()
+
+
+def test_shock_that_loses_its_root_inside_the_label_box_exits_3(tmp_path,
+                                                                  capsys):
+    # A < 0 is no Kolmogorov-Feller symbol: the shock's root is lost with
+    # its last labels at -0.854 and 0.854, far inside [-3, 3], so the
+    # message does not blame the label box
+    ini = write_ini(tmp_path, """\
+[symbol]
+A = -0.5
+
+[initial]
+S0 = 0-0.3*log(sech(x/0.3))
+S0_prime = tanh(x/0.3)
+
+[domain]
+x_min = -3
+x_max = 3
+n_x0 = 401
+T = 1
+h_t = 5e-3
+store_every = 1
+""")
+    rc = cli.main(["shock", "--scenario", ini, "--out", str(tmp_path / "run")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "no equal-action root at t=0.865" in err
+    assert "-0.854, 0.854" in err and "widen" not in err
 
 
 def test_shock_born_in_the_last_store_interval_has_no_samples(tmp_path):
@@ -403,6 +432,118 @@ def test_evolve_forks_before_the_first_stored_time(tmp_path, monkeypatch):
     assert cli.main(["evolve", "--scenario", sc, "--threads", "2",
                      "--out", str(tmp_path / "run")]) == 0
     assert events == ["fork"] + list(range(11))  # T / (h_t * store_every)
+
+
+TUNNEL = MINIMAL.replace("x_min = -2\nx_max = 2", "x_min = -3\nx_max = 3") + """
+[tunnel]
+h = 0.1, 0.05, 0.025
+dx = 0.01
+w_min = -1
+w_max = 1
+"""
+
+FORKED = [
+    (["verify", "--seed", "7"], MINIMAL + "\n[verify]\nbumps = 3\n"),
+    (["oracle", "hopf-lax"], MINIMAL),
+    (["oracle", "kf-lattice"], TUNNEL),
+    (["oracle", "tunnel-compare"], TUNNEL),
+]
+
+
+def _run_at(tmp_path, capfd, argv, ini, threads, tag):
+    out = tmp_path / tag
+    capfd.readouterr()
+    rc = cli.main([*argv, "--scenario", ini, "--threads", threads,
+                   "--out", str(out)])
+    files = {p.name: p.read_bytes() for p in out.iterdir()} \
+        if out.exists() else {}
+    return rc, capfd.readouterr(), files
+
+
+@pytest.mark.parametrize("argv, text", FORKED,
+                         ids=[" ".join(a[:2]) for a, _ in FORKED])
+def test_fork_map_commands_match_one_process(tmp_path, monkeypatch, capfd,
+                                             argv, text):
+    # the same bytes at one process, where nothing forks, and at two
+    ini = write_ini(tmp_path, text)
+    fork = os.fork
+    forks = []
+
+    def no_fork():
+        raise AssertionError("forked at one thread")
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    one = _run_at(tmp_path, capfd, argv, ini, "1", "one")
+    monkeypatch.setattr(os, "fork", counted_fork)
+    two = _run_at(tmp_path, capfd, argv, ini, "2", "two")
+    assert forks == [1]
+    assert one[0] == 0 and one == two
+
+
+@pytest.mark.parametrize("failing, argv", [
+    # at two processes this one takes h = 0.1 and 0.025, the child 0.05
+    ({0.05}, ["oracle", "kf-lattice"]),
+    # 0.05 fails in the child, 0.025 in this process: in process 0.05
+    # comes first
+    ({0.05, 0.025}, ["oracle", "kf-lattice"]),
+    # this process takes the density (item 0), which fails, and 0.05; the
+    # child takes 0.1 and 0.025, which fails.  In process the lattices run
+    # before the density, so the child's lattice failure wins
+    ({0.025}, ["oracle", "tunnel-compare"]),
+])
+def test_fork_map_failure_matches_one_process(tmp_path, monkeypatch, capfd,
+                                              failing, argv):
+    ini = write_ini(tmp_path, TUNNEL)
+    failing = set(failing)
+    kf_lattice = oracle.kf_lattice
+
+    def failing_lattice(m, field, **kwargs):
+        if field.h in failing:
+            raise oracle.BoundaryContactError(f"forced at h={field.h:g}")
+        return kf_lattice(m, field, **kwargs)
+
+    def no_density(*args, **kwargs):
+        raise manifold.ManifoldError("forced density failure")
+
+    monkeypatch.setattr(oracle, "kf_lattice", failing_lattice)
+    monkeypatch.setattr(density, "build_density", no_density)
+    one = _run_at(tmp_path, capfd, argv, ini, "1", "one")
+    two = _run_at(tmp_path, capfd, argv, ini, "2", "two")
+    assert one[0] == 3 and one == two
+    # the schedule runs from large h to small
+    first = max(failing)
+    assert one[1].err == f"numerical failure: forced at h={first:g}\n"
+    if argv[1] == "tunnel-compare":
+        # with every lattice through, the density's own failure is reported
+        failing.clear()
+        one = _run_at(tmp_path, capfd, argv, ini, "1", "one-density")
+        two = _run_at(tmp_path, capfd, argv, ini, "2", "two-density")
+        assert one[0] == 3 and one == two
+        assert one[1].err == "numerical failure: forced density failure\n"
+
+
+def test_fork_map_reads_results_larger_than_the_pipe_buffer():
+    # each child result is 800 kB, over ten times a pipe buffer
+    got = forkmap.fork_map(lambda i: np.full(100_000, i + 0.5), range(5), 3)
+    assert [float(a[0]) for a in got] == [0.5, 1.5, 2.5, 3.5, 4.5]
+    assert all(a.shape == (100_000,) for a in got)
+
+
+def test_fork_map_reruns_a_child_that_died():
+    # a child killed before it sent anything: its items run in process
+    def item(i):
+        if i == 1 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return [i, 2.0 * i]
+
+    parent = os.getpid()
+    got = forkmap.fork_map(item, range(4), 2)
+    assert [list(map(float, a)) for a in got] == [
+        [0, 0], [1, 2], [2, 4], [3, 6]]
 
 
 def test_exit_codes(tmp_path, capsys):

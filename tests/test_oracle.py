@@ -27,25 +27,26 @@ def tanh_fan(m_burgers):
 
 
 def test_action_quadratic_data(m_burgers):
-    val = oracle.hopf_lax(m_burgers, "x^2/2", x=1.0, t=1.0)
+    val = oracle.hopf_lax_grid(m_burgers, "x^2/2", [1.0], 1.0)[0]
     assert abs(val - 0.25) < 1e-9
 
 
 def test_action_short_time_limit(m_burgers):
     # plain limit where the time drift t*P(x, S0') is below the tolerance
     want = float(np.log(1.0 / np.cosh(0.1)))
-    got = oracle.hopf_lax(m_burgers, "log(sech(x))", x=0.1, t=1e-4)
+    got = oracle.hopf_lax_grid(m_burgers, "log(sech(x))", [0.1], 1e-4)[0]
     assert abs(got - want) < 1e-6
     # first-order structure: S(x, t) = S0(x) - t*P(x, S0'(x)) + O(t^2)
     s0 = float(np.log(1.0 / np.cosh(0.7)))
     drift = 0.5 * np.tanh(0.7) ** 2
-    got = oracle.hopf_lax(m_burgers, "log(sech(x))", x=0.7, t=1e-4)
+    got = oracle.hopf_lax_grid(m_burgers, "log(sech(x))", [0.7], 1e-4)[0]
     assert abs(got - (s0 - 1e-4 * drift)) < 1e-8
 
 
 def test_action_box_edge_error(m_burgers):
     with pytest.raises(oracle.OracleError):
-        oracle.hopf_lax(m_burgers, "x^2/2", x=5.0, t=1.0, y_box=(-0.5, 0.5))
+        oracle.hopf_lax_grid(m_burgers, "x^2/2", [5.0], 1.0,
+                             y_box=(-0.5, 0.5))
     # the minimizer of y^2/2 + (x-y)^2/2 is y = x/2: x = 2, -4 and 3 leave
     # the box, and the error names the first of them in grid order
     with pytest.raises(oracle.OracleError) as err:
@@ -67,13 +68,13 @@ def test_action_grid_does_not_depend_on_the_block_size(monkeypatch):
 def test_action_matches_characteristics(tanh_fan, m_burgers):
     curve = manifold.slice_fan(tanh_fan, 2.0)
     ess = manifold.essential(curve, np.array([0.0]))
-    val = oracle.hopf_lax(m_burgers, "log(sech(x))", x=0.0, t=2.0)
+    val = oracle.hopf_lax_grid(m_burgers, "log(sech(x))", [0.0], 2.0)[0]
     assert abs(val - ess.S[0]) <= 1e-3
 
 
 def test_action_jump_symbol_flat_data(m_jump):
     # zero initial action stays zero: the conjugate vanishes at the drift speed
-    val = oracle.hopf_lax(m_jump, "0", x=0.3, t=0.7)
+    val = oracle.hopf_lax_grid(m_jump, "0", [0.3], 0.7)[0]
     assert abs(val) < 1e-9
 
 
