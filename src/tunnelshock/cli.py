@@ -119,19 +119,11 @@ def _run_evolve(sc, out, seed, threads):
 
     def write():
         os.close(w)
-        try:
+        with contextlib.suppress(EOFError):  # a failed integration
             characteristics.fan_to_csv(characteristics.Fan(
                 symbol=sc.m, x0=_labels(sc), times=times, h_t=sc.h_t,
                 **dict(zip(characteristics._FIELDS, store))), path,
                 _stored_indices(r, times.size))
-        except EOFError:  # the integration failed; the parent reports it
-            pass
-        except BaseException as ex:
-            # unlike a fork_map item, the parent cannot re-run the writer
-            # to raise this: the child says it on stderr
-            msg = f"writing {path}: {type(ex).__name__}: {ex}\n"
-            os.write(2, msg.encode(errors="replace"))
-            raise
 
     pid, fd = forkmap.spawn(write)
     os.close(r)
@@ -140,14 +132,17 @@ def _run_evolve(sc, out, seed, threads):
         with contextlib.suppress(BrokenPipeError):  # the writer died early
             pipe.write(b"\1")
 
+    fan = None
     try:
         with open(w, "wb", buffering=0) as pipe:
             fan = _build_fan(sc, store, report)
         return _evolve_slices(sc, out, fan)
     finally:
-        code = forkmap.reap(pid, fd)[1]
-        if code != 0:
-            raise OSError(f"writer of {path} exited with status {code}")
+        # a writer that failed or died is re-run here, before a failure of
+        # the slices surfaces: at one process fan.csv is written first.  An
+        # integration failure wins, as it does at one process
+        if forkmap.reap(pid, fd)[1] != 0 and fan is not None:
+            characteristics.fan_to_csv(fan, path)
 
 
 def _evolve_slices(sc, out, fan):
@@ -268,20 +263,9 @@ def _lattice_u0(sc, h):
 
 
 def _lattice(sc, h):
-    """One lattice run, packed as [t, dt, reach, x..., values...] so that
-    it can cross a pipe."""
     f0 = oracle.make_lattice(_lattice_u0(sc, h), h=h,
                              x_box=(sc.x_min, sc.x_max), dx=sc.lattice_dx)
-    f = oracle.kf_lattice(sc.m, f0, T=sc.T)
-    return np.concatenate(([f.t, f.dt, f.reach], f.x, f.values))
-
-
-def _lattice_field(sc, h, packed):
-    x, values = np.split(np.asarray(packed)[3:], 2)
-    return oracle.LatticeField(
-        x=x, values=values, h=float(h),
-        u0=expr.as_expression(_lattice_u0(sc, h)), t=float(packed[0]),
-        dt=float(packed[1]), reach=int(packed[2]))
+    return oracle.kf_lattice(sc.m, f0, T=sc.T)
 
 
 def _h_schedule(sc):
@@ -294,9 +278,7 @@ def _h_schedule(sc):
 def _run_oracle_kf_lattice(sc, out, seed, threads):
     hs = _h_schedule(sc)
     rows = []
-    for h, packed in zip(hs, forkmap.fork_map(
-            lambda h: _lattice(sc, h), hs, threads)):
-        f = _lattice_field(sc, h, packed)
+    for f in forkmap.fork_map(lambda h: _lattice(sc, h), hs, threads):
         logs = f.minus_h_log()
         for x, u, s in zip(f.x, f.values, logs):
             rows.append((f.h, f.t, x, u, s))
@@ -315,9 +297,8 @@ def _run_oracle_tunnel_compare(sc, out, seed, threads):
 
     # in process the lattices run first: a lattice failure wins
     n = len(hs)
-    gd, *packed = forkmap.fork_map(run, range(n + 1), threads,
+    gd, *fields = forkmap.fork_map(run, range(n + 1), threads,
                                    order=[*range(1, n + 1), 0])
-    fields = [_lattice_field(sc, h, a) for h, a in zip(hs, packed)]
     comparison = oracle.tunnel_compare(fields, gd, sc.window)
     write_csv(os.path.join(out, "compare.csv"),
               ("h", "E_of_h", "fitted_order"), comparison.rows())

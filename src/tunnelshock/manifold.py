@@ -167,12 +167,15 @@ def _decompose(curve, stencil=None):
     signs = np.sign(J)
     s0, s1 = signs[:-1], signs[1:]
     # a branch run continues while J keeps its sign and the projection stays
-    # monotone in the sign direction (a NaN step does not break it); zero-J
-    # samples never join a run
+    # monotone in the sign direction (a NaN step does not break it)
     cont = (s1 == s0) & ~((x[1:] - x[:-1]) * s0 <= 0)
     starts = np.flatnonzero(np.concatenate(([True], ~cont)))
     stops = np.append(starts[1:], J.size)
     keep = (stops - starts >= 2) & (signs[starts] != 0)  # at least 2 samples
+    # a row that is a run of its own (J about 0 at a fold, of either sign)
+    # also ends the runs on both of its sides where x stays monotone, so
+    # both branches cover its x
+    lone = set(starts[stops - starts == 1].tolist())
     # label slopes: exact from the fan where it carries them (dx = J dx0,
     # dS = p dx, and dp), fourth-order differences for J and a_int
     idx, w = _label_stencil(curve.x0) if stencil is None else stencil
@@ -181,8 +184,13 @@ def _decompose(curve, stencil=None):
                    np.einsum("jn,kjn->kn", w, Y[3:].take(idx, axis=1))))
     branches = []
     for i, j in zip(starts[keep].tolist(), (stops[keep] - 1).tolist()):
+        sign = float(signs[i])
+        if i - 1 in lone and (x[i] - x[i - 1]) * sign > 0:
+            i -= 1
+        if j + 1 in lone and (x[j + 1] - x[j]) * sign > 0:
+            j += 1
         branches.append(Branch(index=len(branches), rows=slice(i, j + 1),
-                               sign=float(signs[i]),
+                               sign=sign,
                                x_lo=float(min(x[i], x[j])),
                                x_hi=float(max(x[i], x[j])),
                                data=(curve.x0, Y, D)))

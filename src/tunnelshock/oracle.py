@@ -120,7 +120,6 @@ class FiniteVolumeSolution:
     dx: float
     times: np.ndarray    # stored instants
     v: np.ndarray        # one row of cell averages per stored instant
-    shock_x: np.ndarray  # steepest-descent interface per stored instant
 
     def at(self, t):
         k = int(np.argmin(np.abs(self.times - t)))
@@ -158,7 +157,7 @@ def godunov(m, v0, x_box, n_cells, T, store_times=None, dt=None):
 
     # the flux does not depend on time, so neither does its sonic point
     s_star = _sonic_point(m)
-    out_v, out_t, out_sx = [], [], []
+    out_v, out_t = [], []
     t = 0.0
     mark_i = 0
     while mark_i < len(marks):
@@ -187,14 +186,10 @@ def godunov(m, v0, x_box, n_cells, T, store_times=None, dt=None):
         if t >= marks[mark_i] - 1e-13:
             out_t.append(marks[mark_i])
             out_v.append(v.copy())
-            jumps = np.diff(v)
-            i = int(np.argmin(jumps))
-            out_sx.append(lo + dx * (i + 1))
             mark_i += 1
 
     return FiniteVolumeSolution(x=xs, dx=dx, times=np.asarray(out_t),
-                                v=np.asarray(out_v),
-                                shock_x=np.asarray(out_sx))
+                                v=np.asarray(out_v))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +341,6 @@ class TunnelComparison:
     h: np.ndarray
     E: np.ndarray          # max |u e^{S/h} - sqrt(R)| on the comparison set
     E_rel: np.ndarray      # same, relative to sqrt(R)
-    n_points: np.ndarray
     fitted_order: float
 
     def rows(self):
@@ -392,7 +386,7 @@ def tunnel_compare(fields, gd, x_window):
     if any(abs(f.t - t) > 1e-9 * (1.0 + abs(t)) for f in fields):
         raise OracleError("lattice fields are not at a common time")
 
-    hs, errs, rel_errs, counts = [], [], [], []
+    hs, errs, rel_errs = [], [], []
     for f in fields:
         inside = (f.x >= x_window[0]) & (f.x <= x_window[1])
         keep = inside & comparison_mask(gd, t, f.x, f.dx, f.h)
@@ -408,7 +402,6 @@ def tunnel_compare(fields, gd, x_window):
         hs.append(f.h)
         errs.append(float(np.max(diff)))
         rel_errs.append(float(np.max(diff / amp)))
-        counts.append(int(xs.size))
 
     hs = np.asarray(hs)
     errs = np.asarray(errs)
@@ -417,4 +410,4 @@ def tunnel_compare(fields, gd, x_window):
     else:
         order = float("nan")
     return TunnelComparison(h=hs, E=errs, E_rel=np.asarray(rel_errs),
-                            n_points=np.asarray(counts), fitted_order=order)
+                            fitted_order=order)

@@ -50,7 +50,7 @@ store_every = 20
 
 @pytest.fixture(autouse=True)
 def no_child_left():
-    # every fan.csv writer a test's run forked has been reaped
+    # every child a test's run forked has been reaped
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -245,10 +245,17 @@ def test_shock_born_in_the_last_store_interval_has_no_samples(tmp_path):
         assert len((out / name).read_text().splitlines()) == 1  # header only
     assert cli.main(["limit-study", "--scenario", ini,
                      "--out", str(tmp_path / "limit")]) == 0
-    # evolve's slice grid holds the fold point itself at t = 0.05, where no
-    # branch covers it: a typed failure, not a crash
+    # evolve's slice grid holds the fold point x = 0 itself at t = 0.05:
+    # the two branches that meet there cover it, and it is left out of
+    # density.csv only
+    out = tmp_path / "evolve"
     assert cli.main(["evolve", "--scenario", ini, "--threads", "1",
-                     "--out", str(tmp_path / "evolve")]) in (0, 3)
+                     "--out", str(out)]) == 0
+    ess, den = (read_csv(out / name) for name in ("essential.csv",
+                                                  "density.csv"))
+    assert len(den["t"]) == len(ess["t"]) - 1
+    assert set(zip(ess["t"], ess["x"])) - set(zip(den["t"], den["x"])) \
+        == {(0.05, 0.0)}
     sc = scenario.load(ini)
     gd = density.build_density(cli._build_fan(sc), rho0=sc.rho0)
     rec, = gd.shocks
@@ -333,49 +340,100 @@ def test_evolve_forked_writer_bytes_and_typed_failure(tmp_path, monkeypatch):
         == (outs["one"] / "fan.csv").read_bytes()
 
 
+def _no_space(fan, path, indices=None):
+    raise OSError(28, "No space left on device")
+
+
+def _evolve_error(tmp_path, capfd, threads):
+    """The exception evolve on MINIMAL raises at `threads` processes, as
+    (type, errno, message), and what the run wrote to stdout and stderr."""
+    sc = write_ini(tmp_path, MINIMAL)
+    capfd.readouterr()
+    with pytest.raises(Exception) as info:
+        cli.main(["evolve", "--scenario", sc, "--threads", threads,
+                  "--out", str(tmp_path / f"run-{threads}")])
+    ex = info.value
+    return (type(ex), getattr(ex, "errno", None), str(ex)), capfd.readouterr()
+
+
 def test_evolve_writer_failure_raises_in_the_parent(tmp_path, monkeypatch,
                                                     capfd):
-    def fail(fan, path, indices=None):
-        raise OSError(28, "No space left on device")
+    # the failed writer is re-run in process, which raises its error as at
+    # one process, with nothing said on stderr
+    monkeypatch.setattr(cli.characteristics, "fan_to_csv", _no_space)
+    one = _evolve_error(tmp_path, capfd, "1")
+    assert one == ((OSError, 28, "[Errno 28] No space left on device"),
+                   ("", ""))
+    assert _evolve_error(tmp_path, capfd, "2") == one
 
-    monkeypatch.setattr(cli.characteristics, "fan_to_csv", fail)
-    sc = write_ini(tmp_path, MINIMAL)
-    with pytest.raises(OSError, match="exited with status 1"):
-        cli.main(["evolve", "--scenario", sc, "--threads", "2",
-                  "--out", str(tmp_path / "run")])
-    assert "No space left on device" in capfd.readouterr().err
+
+def test_evolve_writer_and_density_failures_raise_the_writers(tmp_path,
+                                                              monkeypatch,
+                                                              capfd):
+    # at one process fan.csv is written before the density is built
+    def no_density(*args, **kwargs):
+        raise manifold.ManifoldError("forced density failure")
+
+    monkeypatch.setattr(cli.characteristics, "fan_to_csv", _no_space)
+    monkeypatch.setattr(density, "build_density", no_density)
+    one = _evolve_error(tmp_path, capfd, "1")
+    assert one[0] == (OSError, 28, "[Errno 28] No space left on device")
+    assert _evolve_error(tmp_path, capfd, "2") == one
 
 
 def test_evolve_writer_dead_before_the_first_store(tmp_path, monkeypatch,
                                                    capfd):
     # the writer has exited before the integrator reports a stored time, so
     # every report meets a closed pipe: the integration still completes, and
-    # the parent reports the writer's status, not BrokenPipeError
-    def fail(fan, path, indices=None):
-        raise OSError(28, "No space left on device")
-
+    # the writer's own error is raised, not BrokenPipeError
     build_fan = cli._build_fan
     fans = []
 
     def build_after_the_writer_exits(sc, *fill):
-        # WNOWAIT leaves the writer for the parent to reap
-        deadline = time.monotonic() + 20
-        while os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT
-                        | os.WNOHANG) is None:
-            assert time.monotonic() < deadline, "the writer did not exit"
-            time.sleep(0.01)
+        if fill:  # WNOWAIT leaves the writer for the parent to reap
+            deadline = time.monotonic() + 20
+            while os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT
+                            | os.WNOHANG) is None:
+                assert time.monotonic() < deadline, "the writer did not exit"
+                time.sleep(0.01)
         fans.append(build_fan(sc, *fill))
         return fans[-1]
 
-    monkeypatch.setattr(cli.characteristics, "fan_to_csv", fail)
+    monkeypatch.setattr(cli.characteristics, "fan_to_csv", _no_space)
     monkeypatch.setattr(cli, "_build_fan", build_after_the_writer_exits)
+    one = _evolve_error(tmp_path, capfd, "1")
+    assert one == ((OSError, 28, "[Errno 28] No space left on device"),
+                   ("", ""))
+    assert _evolve_error(tmp_path, capfd, "2") == one
+    assert len(fans) == 2
+
+
+def test_evolve_killed_writer_is_rerun_in_process(tmp_path, monkeypatch):
+    # a writer killed after two stored times leaves a partial file; the
+    # parent writes fan.csv again, whole and as at one process
+    fan_to_csv = cli.characteristics.fan_to_csv
+    parent = os.getpid()
+
+    def killed_after_two(fan, path, indices=None):
+        def die():
+            for i in indices:
+                if i == 2:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                yield i
+
+        if os.getpid() != parent:
+            return fan_to_csv(fan, path, die())
+        return fan_to_csv(fan, path, indices)
+
+    monkeypatch.setattr(cli.characteristics, "fan_to_csv", killed_after_two)
     sc = write_ini(tmp_path, MINIMAL)
-    with pytest.raises(OSError, match="exited with status 1") as info:
-        cli.main(["evolve", "--scenario", sc, "--threads", "2",
-                  "--out", str(tmp_path / "run")])
-    assert type(info.value) is OSError
-    assert len(fans) == 1
-    assert "No space left on device" in capfd.readouterr().err
+    for threads in ("1", "2"):
+        assert cli.main(["evolve", "--scenario", sc, "--threads", threads,
+                         "--out", str(tmp_path / threads)]) == 0
+    assert sorted(os.listdir(tmp_path / "2")) \
+        == sorted(os.listdir(tmp_path / "1"))
+    assert (tmp_path / "2" / "fan.csv").read_bytes() \
+        == (tmp_path / "1" / "fan.csv").read_bytes()
 
 
 def test_evolve_integration_failure_leaves_the_old_fan_csv(tmp_path,
@@ -542,8 +600,31 @@ def test_fork_map_reruns_a_child_that_died():
 
     parent = os.getpid()
     got = forkmap.fork_map(item, range(4), 2)
-    assert [list(map(float, a)) for a in got] == [
-        [0, 0], [1, 2], [2, 4], [3, 6]]
+    assert got == [[0, 0], [1, 2], [2, 4], [3, 6]]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_fork_map_returns_what_fn_returns(threads):
+    def item(i):
+        return (i, (i, i / 2), [float(i)] * 2)[i % 3]
+
+    got = forkmap.fork_map(item, range(7), threads)
+    want = [item(i) for i in range(7)]
+    assert got == want
+    assert [type(r) for r in got] == [type(r) for r in want]
+
+
+def test_fork_map_returns_lattice_fields(tmp_path):
+    sc = scenario.load(write_ini(tmp_path, TUNNEL))
+    hs = sc.h_schedule
+    got = forkmap.fork_map(lambda h: cli._lattice(sc, h), hs, 2)
+    for h, f in zip(hs, got):
+        want = cli._lattice(sc, h)
+        assert type(f) is oracle.LatticeField
+        assert (f.h, f.t, f.dt, f.reach, f.u0.source) \
+            == (want.h, want.t, want.dt, want.reach, want.u0.source)
+        assert np.array_equal(f.x, want.x)
+        assert np.array_equal(f.values, want.values)
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -394,25 +394,33 @@ def test_label_interpolant(sign):
 
 
 def _decompose_loop(J, x):
-    """Reference: the per-sample loop the vectorized _decompose replaced."""
+    """Reference: the per-sample loop the vectorized _decompose replaced,
+    with a row that is a run of its own joined to the runs on both of its
+    sides where x stays monotone."""
     n = J.size
     signs = np.sign(J)
-    branches = []
+    runs = []
     i = 0
     while i < n:
-        if signs[i] == 0:
-            i += 1
-            continue
         s = signs[i]
         j = i
-        while j + 1 < n and signs[j + 1] == s:
+        while s != 0 and j + 1 < n and signs[j + 1] == s:
             if (x[j + 1] - x[j]) * s <= 0:
                 break
             j += 1
-        if j > i:
-            branches.append((slice(i, j + 1), float(s), float(min(x[i], x[j])),
-                             float(max(x[i], x[j]))))
+        runs.append((i, j, s))
         i = j + 1
+    lone = [i for i, j, _ in runs if i == j]
+    branches = []
+    for i, j, s in runs:
+        if j == i or s == 0:
+            continue
+        if i - 1 in lone and (x[i] - x[i - 1]) * s > 0:
+            i -= 1
+        if j + 1 in lone and (x[j + 1] - x[j]) * s > 0:
+            j += 1
+        branches.append((slice(i, j + 1), float(s), float(min(x[i], x[j])),
+                         float(max(x[i], x[j]))))
     return branches
 
 

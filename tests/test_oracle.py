@@ -81,10 +81,16 @@ def test_action_jump_symbol_flat_data(m_jump):
 # ----------------------------------------------------------- finite volume
 
 
+def _interface(sol, t):
+    """The steepest-descent interface at time t: the cell edge of the
+    largest drop in the cell averages."""
+    return sol.x[np.argmin(np.diff(sol.at(t)))] + sol.dx / 2
+
+
 def test_godunov_stationary_riemann(m_burgers):
     sol = oracle.godunov(m_burgers, lambda x: np.where(x < 0, 1.0, -1.0),
                          (-2.0, 2.0), 1000, T=1.0)
-    assert abs(sol.shock_x[-1]) <= 2 * sol.dx
+    assert abs(_interface(sol, 1.0)) <= 2 * sol.dx
     v = sol.at(1.0)
     assert np.all(np.abs(v[sol.x < -0.2] - 1.0) < 1e-9)
     assert np.all(np.abs(v[sol.x > 0.2] + 1.0) < 1e-9)
@@ -93,7 +99,7 @@ def test_godunov_stationary_riemann(m_burgers):
 def test_godunov_shock_speed(m_burgers):
     sol = oracle.godunov(m_burgers, lambda x: np.where(x < 0, 2.0, 0.0),
                          (-1.5, 2.5), 2000, T=1.0)
-    assert abs(sol.shock_x[-1] - 1.0) <= 2 * sol.dx
+    assert abs(_interface(sol, 1.0) - 1.0) <= 2 * sol.dx
 
 
 def test_godunov_rarefaction_l1(m_burgers):
@@ -181,7 +187,8 @@ def test_sonic_point_matches_bisection(name, monkeypatch):
     monkeypatch.setattr(oracle, "_sonic_point", _bisection_sonic_point)
     ref = run()
     assert np.array_equal(sol.v, ref.v)
-    assert np.array_equal(sol.shock_x, ref.shock_x)
+    for t in (0.25, 0.5):
+        assert _interface(sol, t) == _interface(ref, t)
 
 
 # ----------------------------------------------------------------- lattice
@@ -250,7 +257,9 @@ def test_lattice_boundary_contact():
 def test_tunnel_compare_gaussian(gaussian_lattice_fields, gaussian_gd):
     f = gaussian_lattice_fields[2e-3]
     table = oracle.tunnel_compare([f], gaussian_gd, x_window=(-1.0, 1.0))
-    assert table.n_points[0] > 500
+    inside = (f.x >= -1.0) & (f.x <= 1.0)
+    mask = oracle.comparison_mask(gaussian_gd, f.t, f.x, f.dx, f.h)
+    assert np.count_nonzero(inside & mask) > 500
     assert table.E_rel[0] <= 1e-3
 
 
