@@ -140,9 +140,14 @@ def _run_evolve(sc, out, seed, threads):
     finally:
         # a writer that failed or died is re-run here, before a failure of
         # the slices surfaces: at one process fan.csv is written first.  An
-        # integration failure wins, as it does at one process
-        if forkmap.reap(pid, fd)[1] != 0 and fan is not None:
-            characteristics.fan_to_csv(fan, path)
+        # integration failure wins, as it does at one process, and takes
+        # the partial file a killed writer could not remove
+        if forkmap.reap(pid, fd)[1] != 0:
+            if fan is not None:
+                characteristics.fan_to_csv(fan, path)
+            else:
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(path + ".part")
 
 
 def _evolve_slices(sc, out, fan):

@@ -3,7 +3,8 @@
 Three routes that never touch the characteristic machinery:
 
 * a brute-force variational minimizer for the action of spatially
-  homogeneous symbols,
+  homogeneous symbols, searched over the momentum of the straight lines
+  into each point,
 * a first-order finite-volume scheme with exact Riemann fluxes for the
   gradient conservation law,
 * an explicit lattice integrator for the generator equation
@@ -28,10 +29,10 @@ LOG_FLOOR = 1e-300  # underflow floor of LatticeField.minus_h_log
 # h/|p_l - p_r|
 COLLAR_CELLS = 5
 COLLAR_SMEAR = 3.0
-# velocities per Legendre solve of hopf_lax_grid (16 rows of 2001): larger
-# blocks gained less than the run-to-run noise, while peak memory grows with
-# the block (all 241 rows of the CLI grid at once: 125 MB against 37 MB)
-_BLOCK_VELOCITIES = 1 << 15
+# momentum nodes per row block of hopf_lax_grid (16 rows of 2001): peak
+# memory grows with the block (all 241 rows of the CLI grid at once on
+# riemann.ini: 60 MB of peak RSS against 36 MB)
+_BLOCK_NODES = 1 << 15
 
 
 class OracleError(ValueError):
@@ -58,14 +59,17 @@ def _field_values(data, xs):
 
 
 def hopf_lax_grid(m, S0, xs, t, y_box=(-30.0, 30.0), n=2001):
-    """Minimum of S0(y) + t*L((x-y)/t) for each x, by grid search with one
-    refinement.
+    """Minimum over straight lines into x of S0(y) + t*L((x-y)/t), by grid
+    search over their momentum p with one refinement.
 
-    L is the box-restricted convex conjugate of the symbol, so unreachable
-    slopes carry the affine edge penalty and never win the minimum.  The
-    refined minimum is polished with a three-point parabola vertex.  A
-    minimizer on the y-box edge raises: the box is too small for (x, t).
-    A block of x rows shares each Legendre solve.
+    The line of momentum p has velocity P'(p), foot y = x - t*P'(p) and
+    action t*(p*P'(p) - P(p)), the conjugate L at that velocity, so no
+    Legendre solve is needed at the grid nodes.  Each x searches the
+    momenta of the feet in y_box; an end whose velocity the momentum box
+    does not attain is clamped to the box edge.  The refined minimum is
+    polished with a three-point parabola vertex.  A minimizer on the first
+    or last node raises: y_box (or the momentum box) is too small for
+    (x, t).  Rows of x are searched in blocks to bound memory.
     """
     if not m.spatially_homogeneous:
         raise OracleError("variational minimizer needs an x-independent symbol")
@@ -75,16 +79,20 @@ def hopf_lax_grid(m, S0, xs, t, y_box=(-30.0, 30.0), n=2001):
     xs = np.asarray(xs, dtype=float)
     t = float(t)
 
-    def total(x, ys):
-        _, L = symbol.legendre_clamped(m, 0.0, (x - ys) / t)
-        return expr.evaluate_at(S0, ys) + t * L
+    def total(x, p):
+        v = symbol.eval_dP_dp(m, 0.0, p)
+        y = np.clip(x - t * v, *y_box)
+        return expr.evaluate_at(S0, y) + t * (p * v - symbol.eval_P(m, 0.0, p))
 
-    ys = np.linspace(y_box[0], y_box[1], n)
-    rows = max(1, _BLOCK_VELOCITIES // n)
+    rows = max(1, _BLOCK_NODES // n)
     out = np.empty(xs.shape)
     for b in range(0, xs.size, rows):
         x = xs[b:b + rows, None]
-        k = np.argmin(total(x, ys), axis=1)
+        # the velocity P'(p) grows with p: the far foot y_box[1] is the
+        # slowest line, y_box[0] the fastest
+        ends = symbol.clamped_momentum(m, 0.0, (x - np.array(y_box[::-1])) / t)
+        ps = np.linspace(ends[:, 0], ends[:, 1], n, axis=1)
+        k = np.argmin(total(x, ps), axis=1)
         edge = (k == 0) | (k == n - 1)
         if np.any(edge):
             x_bad = float(x[np.argmax(edge), 0])
@@ -92,19 +100,19 @@ def hopf_lax_grid(m, S0, xs, t, y_box=(-30.0, 30.0), n=2001):
                 f"action minimizer for x={x_bad:g}, t={t:g} sits on the "
                 "y-box edge; enlarge y_box")
 
-        yr = np.linspace(ys[k - 1], ys[k + 1], n, axis=1)
-        vr = total(x, yr)
-        j = np.argmin(vr, axis=1)
         r = np.arange(x.shape[0])
+        pr = np.linspace(ps[r, k - 1], ps[r, k + 1], n, axis=1)
+        vr = total(x, pr)
+        j = np.argmin(vr, axis=1)
         best = vr[r, j]
         jm, jp = np.maximum(j - 1, 0), np.minimum(j + 1, n - 1)
         d2 = vr[r, jm] - 2.0 * best + vr[r, jp]
         vertex = (0 < j) & (j < n - 1) & np.isfinite(d2) & (d2 > 0.0)
         if np.any(vertex):
             i = np.flatnonzero(vertex)
-            step = yr[i, 1] - yr[i, 0]
-            y_v = yr[i, j[i]] - 0.5 * step * (vr[i, jp[i]] - vr[i, jm[i]]) / d2[i]
-            cand = total(x[i, 0], y_v)
+            step = pr[i, 1] - pr[i, 0]
+            p_v = pr[i, j[i]] - 0.5 * step * (vr[i, jp[i]] - vr[i, jm[i]]) / d2[i]
+            cand = total(x[i, 0], p_v)
             best[i] = np.where(cand < best[i], cand, best[i])
         out[b:b + rows] = best
     return out
@@ -130,7 +138,7 @@ class FiniteVolumeSolution:
 
 def _sonic_point(m):
     """Zero of the nondecreasing dP/dp, clipped to the momentum box."""
-    return symbol.legendre_clamped(m, 0.0, 0.0)[0]
+    return float(symbol.clamped_momentum(m, 0.0, 0.0))
 
 
 def godunov(m, v0, x_box, n_cells, T, store_times=None, dt=None):

@@ -183,37 +183,9 @@ def legendre(m, x, v):
     return p, L
 
 
-def legendre_clamped(m, x, v):
-    """Box-restricted conjugate: out-of-range velocities get the box-edge
-    affine value v*p_edge - P(x, p_edge) (exact sup over the box)."""
-    v = np.asarray(v, dtype=float)
-    scalar = v.ndim == 0
-    v1 = np.atleast_1d(v).astype(float)
-    x_arr = np.broadcast_to(np.asarray(x, dtype=float), v1.shape)
-    p, L = legendre_batch(m, x_arr, v1)
-    miss = ~np.isfinite(p)
-    if np.any(miss):
-        g_lo = eval_dP_dp(m, x_arr, np.full_like(v1, P_BOX[0]))
-        use_lo = miss & (v1 < g_lo)
-        for edge, mask in ((P_BOX[0], use_lo), (P_BOX[1], miss & ~use_lo)):
-            if np.any(mask):
-                Pe = eval_P(m, x_arr[mask], edge)
-                L[mask] = v1[mask] * edge - Pe
-                p[mask] = edge
-    if scalar:
-        return float(p[0]), float(L[0])
-    return p, L
-
-
-def certify_convexity(m, x_box, n=41):
-    """Probe d2P/dp2 > 0 over a lattice of the working boxes; returns min value."""
-    xs = np.linspace(x_box[0], x_box[1], n)
-    ps = np.linspace(P_BOX[0], P_BOX[1], n)
-    worst = np.inf
-    for p in ps:
-        try:
-            h = eval_hess(m, xs, p)
-        except RangeError:
-            continue
-        worst = min(worst, float(np.min(h)))
-    return worst
+def clamped_momentum(m, x, v):
+    """Root of dP/dp(x, p) = v on the momentum box; a velocity the box does
+    not attain gets the nearer box edge."""
+    p, _ = legendre_batch(m, x, v)
+    below = v < eval_dP_dp(m, x, P_BOX[0])
+    return np.where(np.isnan(p), np.where(below, *P_BOX), p)

@@ -435,6 +435,28 @@ def test_evolve_killed_writer_is_rerun_in_process(tmp_path, monkeypatch):
     assert (tmp_path / "2" / "fan.csv").read_bytes() \
         == (tmp_path / "1" / "fan.csv").read_bytes()
 
+    # the same writer killed, and then a failed integration: exit 3, and
+    # the parent removes the partial file the writer could not
+    step = cli.characteristics.monitored_step
+    calls = []
+
+    def failing_step(rhs, t, y, h):
+        calls.append(t)
+        if len(calls) == 150:  # stored times 0 to 7 are reported by now
+            deadline = time.monotonic() + 20
+            while os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT
+                            | os.WNOHANG) is None:
+                assert time.monotonic() < deadline, "the writer did not die"
+                time.sleep(0.01)
+            raise cli.characteristics.StepSizeError("forced at step 150")
+        return step(rhs, t, y, h)
+
+    monkeypatch.setattr(cli.characteristics, "monitored_step", failing_step)
+    out = tmp_path / "failed"
+    assert cli.main(["evolve", "--scenario", sc, "--threads", "2",
+                     "--out", str(out)]) == 3
+    assert os.listdir(out) == []
+
 
 def test_evolve_integration_failure_leaves_the_old_fan_csv(tmp_path,
                                                            monkeypatch,

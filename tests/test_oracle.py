@@ -43,7 +43,7 @@ def test_action_short_time_limit(m_burgers):
     assert abs(got - (s0 - 1e-4 * drift)) < 1e-8
 
 
-def test_action_box_edge_error(m_burgers):
+def test_action_box_edge_error(m_burgers, m_jump):
     with pytest.raises(oracle.OracleError):
         oracle.hopf_lax_grid(m_burgers, "x^2/2", [5.0], 1.0,
                              y_box=(-0.5, 0.5))
@@ -54,13 +54,19 @@ def test_action_box_edge_error(m_burgers):
                              1.0, y_box=(-0.5, 0.5))
     assert str(err.value) == ("action minimizer for x=2, t=1 sits on the "
                               "y-box edge; enlarge y_box")
+    # on the pure jump the minimizing momentum of -25*x is -25, beyond the
+    # momentum box: the search ends on the box edge, and says so
+    with pytest.raises(oracle.OracleError) as err:
+        oracle.hopf_lax_grid(m_jump, "-25*x", [0.0], 0.5)
+    assert str(err.value) == ("action minimizer for x=0, t=0.5 sits on the "
+                              "y-box edge; enlarge y_box")
 
 
 def test_action_grid_does_not_depend_on_the_block_size(monkeypatch):
     m = symbol.make_symbol(jumps=((1.0, "0.7"),))
     xs = np.linspace(-3.0, 3.0, 241)
     blocked = oracle.hopf_lax_grid(m, "log(sech(x))", xs, 1.0)
-    monkeypatch.setattr(oracle, "_BLOCK_VELOCITIES", 1)
+    monkeypatch.setattr(oracle, "_BLOCK_NODES", 1)
     by_row = oracle.hopf_lax_grid(m, "log(sech(x))", xs, 1.0)
     assert np.array_equal(blocked, by_row)
 
@@ -73,9 +79,27 @@ def test_action_matches_characteristics(tanh_fan, m_burgers):
 
 
 def test_action_jump_symbol_flat_data(m_jump):
-    # zero initial action stays zero: the conjugate vanishes at the drift speed
-    val = oracle.hopf_lax_grid(m_jump, "0", [0.3], 0.7)[0]
-    assert abs(val) < 1e-9
+    # affine data a*x keeps its momentum a, so S = a*x - t*(e^a - 1); zero
+    # initial action stays zero: the conjugate vanishes at the drift speed
+    for a in (0.0, 0.5, -1.0):
+        val = oracle.hopf_lax_grid(m_jump, f"{a!r}*x", [0.3], 0.7)[0]
+        assert abs(val - (a * 0.3 - 0.7 * np.expm1(a))) < 1e-12
+
+
+def test_action_grid_solves_two_velocities_per_x(m_jump, monkeypatch):
+    # the grid nodes are momenta: only the two ends of each x's momentum
+    # range are solved from velocities
+    solved = []
+    solve = symbol.legendre_batch
+
+    def counted(m, x, v):
+        solved.append(np.size(v))
+        return solve(m, x, v)
+
+    monkeypatch.setattr(symbol, "legendre_batch", counted)
+    xs = np.linspace(-1.0, 1.0, 41)
+    oracle.hopf_lax_grid(m_jump, "log(sech(x))", xs, 0.5)
+    assert sum(solved) == 2 * xs.size
 
 
 # ----------------------------------------------------------- finite volume
@@ -120,13 +144,13 @@ def test_godunov_solves_the_sonic_point_once(monkeypatch):
     # the flux is autonomous: its sonic point is solved before the time loop
     m = symbol.make_symbol(A="0.4", V="0.2", jumps=((1.0, "0.5"),))
     calls = []
-    solve = symbol.legendre_clamped
+    solve = symbol.clamped_momentum
 
     def counted(*args):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(symbol, "legendre_clamped", counted)
+    monkeypatch.setattr(symbol, "clamped_momentum", counted)
     sol = oracle.godunov(m, lambda x: np.where(x < 0, -1.0, 1.2),
                          (-2.0, 2.0), 400, T=0.5, store_times=(0.25, 0.5))
     assert sol.times.size == 2
