@@ -68,8 +68,9 @@ def hopf_lax_grid(m, S0, xs, t, y_box=(-30.0, 30.0), n=2001):
     momenta of the feet in y_box; an end whose velocity the momentum box
     does not attain is clamped to the box edge.  The refined minimum is
     polished with a three-point parabola vertex.  A minimizer on the first
-    or last node raises: y_box (or the momentum box) is too small for
-    (x, t).  Rows of x are searched in blocks to bound memory.
+    or last node raises and names the box too small for (x, t): y_box, or
+    the momentum box when that node is an end clamped to its edge.  Rows
+    of x are searched in blocks to bound memory.
     """
     if not m.spatially_homogeneous:
         raise OracleError("variational minimizer needs an x-independent symbol")
@@ -95,10 +96,13 @@ def hopf_lax_grid(m, S0, xs, t, y_box=(-30.0, 30.0), n=2001):
         k = np.argmin(total(x, ps), axis=1)
         edge = (k == 0) | (k == n - 1)
         if np.any(edge):
-            x_bad = float(x[np.argmax(edge), 0])
-            raise OracleError(
-                f"action minimizer for x={x_bad:g}, t={t:g} sits on the "
-                "y-box edge; enlarge y_box")
+            i = np.argmax(edge)
+            # an end clamped to the momentum box: no y_box reaches further
+            p_end = float(ps[i, k[i]])
+            where = (f"momentum box edge p={p_end:g}; no y_box can help"
+                     if p_end in symbol.P_BOX else "y-box edge; enlarge y_box")
+            raise OracleError(f"action minimizer for x={float(x[i, 0]):g}, "
+                              f"t={t:g} sits on the {where}")
 
         r = np.arange(x.shape[0])
         pr = np.linspace(ps[r, k - 1], ps[r, k + 1], n, axis=1)

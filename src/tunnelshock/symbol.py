@@ -42,7 +42,10 @@ class SymbolModel:
 
     @property
     def spatially_homogeneous(self):
-        """No coefficient field's parsed tree references x."""
+        """No coefficient field's parsed tree references x.  The test is
+        syntactic (``0*x`` names x): `characteristics.integrate_fan` takes
+        its constant-increment path on it, and `oracle.hopf_lax_grid`,
+        `oracle.godunov` and `regularize` require it."""
         return not (self.A.has_x or self.V.has_x
                     or any(j.lam.has_x for j in self.jumps))
 

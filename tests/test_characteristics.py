@@ -165,6 +165,50 @@ def test_monitored_step_is_full_half_half_in_8_rhs_calls():
     assert not np.array_equal(full, two)  # the error estimate is not void
 
 
+# x-free symbols as (A, V, jumps), each with the field that gets "+ x*0"
+_X_FREE = {
+    "diffusion": (("0.5", "0", ()), "A"),
+    "one jump": (("0", "0", ((1.0, "0.7"),)), "lam"),
+    "two jumps": (("0", "0", ((1.0, "0.6"), (-1.0, "0.4"))), "lam"),
+    "potential": (("0.5", "0.3", ()), "V"),
+}
+
+
+@pytest.mark.parametrize("S0", ["log(sech(x))", "0.05*log(sech(x/0.05))",
+                                "x^2/2", "-0.3*x"])
+@pytest.mark.parametrize("kind", list(_X_FREE))
+def test_x_free_fan_is_its_x_times_zero_twin(monkeypatch, kind, S0):
+    # the x-free symbol takes the constant-increment path, its twin with
+    # "+ x*0" in one field the monitored one: the same fan to the bit,
+    # signed zeros included, from one RHS call
+    (A, V, jumps), twin = _X_FREE[kind]
+    free = make_symbol(A=A, V=V, jumps=jumps)
+    named = make_symbol(A=A + " + x*0" * (twin == "A"),
+                        V=V + " + x*0" * (twin == "V"),
+                        jumps=[(nu, lam + " + x*0" * (twin == "lam"))
+                               for nu, lam in jumps])
+    assert free.spatially_homogeneous and not named.spatially_homogeneous
+    x0 = np.linspace(-2.0, 2.0, 101)
+    slow = ch.integrate_fan(named, S0, x0, T=0.5, h_t=5e-3, store_every=25)
+    calls = []
+    make_rhs = ch.hamiltonian_rhs
+
+    def counted_rhs(m):
+        rhs = make_rhs(m)
+
+        def counted(y):
+            calls.append(y.shape)
+            return rhs(y)
+
+        return counted
+
+    monkeypatch.setattr(ch, "hamiltonian_rhs", counted_rhs)
+    fast = ch.integrate_fan(free, S0, x0, T=0.5, h_t=5e-3, store_every=25)
+    assert calls == [(6, x0.size)]
+    for f in ch._FIELDS:
+        assert getattr(fast, f).tobytes() == getattr(slow, f).tobytes(), f
+
+
 def test_dense_output_matches_closed_form():
     x0 = np.linspace(-1, 1, 9)
     fan = ch.integrate_fan(BURGERS, "x^2/2", x0, T=1.0, h_t=0.01,

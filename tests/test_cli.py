@@ -46,6 +46,9 @@ T = 0.5
 h_t = 2.5e-3
 store_every = 20
 """
+# the same fan, to the bit, by monitored steps: a coefficient that names x
+# keeps integrate_fan off its constant-increment path
+MINIMAL_MONITORED = MINIMAL.replace("A = 0.5\n", "A = 0.5\nV = x*0\n")
 
 
 @pytest.fixture(autouse=True)
@@ -426,7 +429,7 @@ def test_evolve_killed_writer_is_rerun_in_process(tmp_path, monkeypatch):
         return fan_to_csv(fan, path, indices)
 
     monkeypatch.setattr(cli.characteristics, "fan_to_csv", killed_after_two)
-    sc = write_ini(tmp_path, MINIMAL)
+    sc = write_ini(tmp_path, MINIMAL_MONITORED)
     for threads in ("1", "2"):
         assert cli.main(["evolve", "--scenario", sc, "--threads", threads,
                          "--out", str(tmp_path / threads)]) == 0
@@ -481,7 +484,7 @@ def test_evolve_integration_failure_leaves_the_old_fan_csv(tmp_path,
         return step(rhs, t, y, h)
 
     monkeypatch.setattr(cli.characteristics, "monitored_step", failing_step)
-    sc = write_ini(tmp_path, MINIMAL)
+    sc = write_ini(tmp_path, MINIMAL_MONITORED)
     assert cli.main(["evolve", "--scenario", sc, "--threads", "2",
                      "--out", str(out)]) == 3
     assert "numerical failure: forced at step 100" in capfd.readouterr().err

@@ -55,11 +55,18 @@ def test_action_box_edge_error(m_burgers, m_jump):
     assert str(err.value) == ("action minimizer for x=2, t=1 sits on the "
                               "y-box edge; enlarge y_box")
     # on the pure jump the minimizing momentum of -25*x is -25, beyond the
-    # momentum box: the search ends on the box edge, and says so
+    # momentum box: the search ends on the box edge, and names that box
     with pytest.raises(oracle.OracleError) as err:
         oracle.hopf_lax_grid(m_jump, "-25*x", [0.0], 0.5)
     assert str(err.value) == ("action minimizer for x=0, t=0.5 sits on the "
-                              "y-box edge; enlarge y_box")
+                              "momentum box edge p=-20; no y_box can help")
+    # a symbol with no p-dependence: every line has velocity 0, the ends
+    # clamp to the momentum box and all nodes tie at the first
+    flat = symbol.make_symbol(V="0.3")
+    with pytest.raises(oracle.OracleError) as err:
+        oracle.hopf_lax_grid(flat, "x^2/2", [0.5], 1.0)
+    assert str(err.value) == ("action minimizer for x=0.5, t=1 sits on the "
+                              "momentum box edge p=-20; no y_box can help")
 
 
 def test_action_grid_does_not_depend_on_the_block_size(monkeypatch):
