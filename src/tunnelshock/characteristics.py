@@ -22,6 +22,9 @@ from . import expr, symbol
 from .textio import format_float
 
 STEP_TOL = 1e-8  # per-step local error bound (step-doubling estimate)
+# node derivatives a fan keeps: state_at reads nodes k and k+1, and a
+# time-ordered sweep (identity_residuals' sorted nodes) moves on by one
+NODE_RHS_KEPT = 4
 
 _FIELDS = ("x", "p", "S", "J", "dp", "a_int")
 
@@ -47,7 +50,8 @@ class Fan:
     a_int: np.ndarray
     h_t: float
     rhs: object = field(default=None, repr=False)
-    # caches: init=False gives a `dataclasses.replace` copy empty ones
+    # caches of the last few nodes and slices asked for; init=False gives
+    # a `dataclasses.replace` copy empty ones
     _node_rhs_cache: dict = field(default_factory=dict, init=False, repr=False)
     _slice_cache: dict = field(default_factory=dict, init=False, repr=False)
     _label_stencil: tuple = field(default=None, init=False, repr=False)
@@ -77,11 +81,14 @@ class Fan:
         return {f: getattr(self, f)[i_t].copy() for f in _FIELDS}
 
     def node_rhs(self, k):
-        """Time derivatives of the stored state at node k (cached)."""
+        """Time derivatives of the stored state at node k; the last
+        NODE_RHS_KEPT nodes asked for are kept, the oldest evicted first."""
         cache = self._node_rhs_cache
         if k not in cache:
             y = np.stack([getattr(self, f)[k] for f in _FIELDS])
             cache[k] = dict(zip(_FIELDS, self.rhs(y)))
+            if len(cache) > NODE_RHS_KEPT:
+                del cache[next(iter(cache))]
         return cache[k]
 
     def state_at(self, t):

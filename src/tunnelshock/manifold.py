@@ -22,6 +22,9 @@ SPEED_TOL = 1e-3  # path speed against the jump quotient, relative
 # a lost root blames the label box when a last one-sided label lies within
 # this many label spacings of its edge
 EDGE_SPACINGS = 10
+# slices a fan keeps: track_shocks walks the stored times once, in order,
+# and evolve asks for one slice time's fields, then its mass balance
+SLICES_KEPT = 2
 
 
 class ManifoldError(ValueError):
@@ -209,11 +212,14 @@ def _curve_from_state(fan, t, state):
 
 
 def slice_fan(fan, t):
-    """Curve at a stored time node (cached on the fan)."""
+    """Curve at a stored time node; the fan keeps the last SLICES_KEPT
+    slices asked for, the oldest evicted first."""
     i = fan.index_of_time(t)
     cache = fan._slice_cache
     if i not in cache:
         cache[i] = _curve_from_state(fan, fan.times[i], fan.state(i))
+        if len(cache) > SLICES_KEPT:
+            del cache[next(iter(cache))]
     return cache[i]
 
 

@@ -34,6 +34,9 @@ N_X = 241
 N_TIMES = 10
 COLLAR_HALFWIDTH = 0.25
 COLLAR_LEAD = 0.1
+# label rows per block of _first_crossing's (rows, 2049) crossing table:
+# about 1 MB, where a limit-study draw's side at once took about 10 MB
+CROSSING_BLOCK = 64
 
 
 class RegularizeError(ValueError):
@@ -165,16 +168,24 @@ def _first_crossing(labs, vs, edge_fn, sign, T):
     if labs.size == 0:
         return t_abs
     tg = np.linspace(0.0, T, 2049)
-    # built in place: one (rows, 2049) array instead of four temporaries
-    D = tg[None, :] * vs[:, None]
-    D += labs[:, None]
-    D -= edge_fn(tg)[None, :]
-    D *= sign
-    hit = D >= 0.0
-    rows = np.where(hit.any(axis=1))[0]
+    edge = edge_fn(tg)
+    # first grid node with a hit per row, -1 for none; rows are independent,
+    # so each block of them is built in place in one buffer
+    first = np.empty(labs.shape, dtype=int)
+    buf = np.empty((min(labs.size, CROSSING_BLOCK), tg.size))
+    for r in range(0, labs.size, CROSSING_BLOCK):
+        blk = slice(r, r + CROSSING_BLOCK)
+        D = buf[:labs[blk].size]
+        np.multiply(tg[None, :], vs[blk, None], out=D)
+        D += labs[blk, None]
+        D -= edge[None, :]
+        D *= sign
+        hit = D >= 0.0
+        first[blk] = np.where(hit.any(axis=1), np.argmax(hit, axis=1), -1)
+    rows = np.where(first >= 0)[0]
     if rows.size == 0:
         return t_abs
-    k = np.argmax(hit[rows], axis=1)
+    k = first[rows]
     immediate = k == 0
     t_abs[rows[immediate]] = 0.0
     solve = rows[~immediate]

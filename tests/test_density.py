@@ -2,12 +2,13 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import tunnelshock
-from tunnelshock import characteristics, density, expr, manifold, symbol
+from tunnelshock import characteristics, density, expr, manifold, symbol, verify
 
 
 @pytest.fixture(scope="module")
@@ -353,3 +354,27 @@ def test_friction_matches_old_formula(damping):
     assert np.any(new != 0.0) == (damping is not None)
     # bit for bit, signs of zeros included
     assert np.array_equal(new.view(np.int64), old.view(np.int64))
+
+
+def test_fan_working_set_stays_bounded(riemann_gd):
+    # a copy of riemann_gd's fan, its arrays allocated under tracemalloc and
+    # its caches empty: tracking its shocks keeps about the fan's own bytes
+    # live (the uncapped slice cache took 2.6 times as much again), and
+    # neither that walk nor an identity suite outgrows the caches' caps
+    tracemalloc.start()
+    try:
+        fan = dataclasses.replace(riemann_gd.fan, **{
+            f: getattr(riemann_gd.fan, f).copy()
+            for f in characteristics._FIELDS})
+        fan_bytes = sum(getattr(fan, f).nbytes
+                        for f in characteristics._FIELDS)
+        gd = density.build_density(fan, rho0="1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - fan_bytes < 0.5 * fan_bytes
+    assert len(fan._slice_cache) == manifold.SLICES_KEPT
+    assert len(gd.shocks) == len(riemann_gd.shocks)
+    verify.identity_suite(gd, count=2, seed=1, threads=1)
+    assert len(fan._slice_cache) == manifold.SLICES_KEPT
+    assert len(fan._node_rhs_cache) == characteristics.NODE_RHS_KEPT

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tunnelshock import characteristics, density, expr, regularize, symbol
+from tunnelshock import characteristics, density, expr, regularize, roots, symbol
 
 
 @pytest.fixture(scope="module")
@@ -312,3 +313,91 @@ def test_limit_study_rejects_bad_schedule(m_burgers, monkeypatch):
         with pytest.raises(regularize.RegularizeError, match="beta"):
             regularize.limit_study(m_burgers, S0, "1", (1e-2,), T=1.0,
                                    S0_prime=S0_prime, betas=(0.05,))
+
+
+def _old_first_crossing(labs, vs, edge_fn, sign, T):
+    # the one-array formula _first_crossing used before it took its rows in
+    # blocks: the whole (rows, 2049) table at once
+    t_abs = np.full(labs.shape, np.inf)
+    if labs.size == 0:
+        return t_abs
+    tg = np.linspace(0.0, T, 2049)
+    D = tg[None, :] * vs[:, None]
+    D += labs[:, None]
+    D -= edge_fn(tg)[None, :]
+    D *= sign
+    hit = D >= 0.0
+    rows = np.where(hit.any(axis=1))[0]
+    if rows.size == 0:
+        return t_abs
+    k = np.argmax(hit[rows], axis=1)
+    immediate = k == 0
+    t_abs[rows[immediate]] = 0.0
+    solve = rows[~immediate]
+    k = k[~immediate]
+    lv, vv = labs[solve], vs[solve]
+    lo, hi = roots.bisect(
+        lambda t: sign * (lv + t * vv - edge_fn(t)) < 0.0,
+        tg[k - 1], tg[k], 48)
+    t_abs[solve] = 0.5 * (lo + hi)
+    return t_abs
+
+
+@pytest.fixture(scope="module")
+def crossing_calls(m_burgers):
+    # the arguments of every _first_crossing call the blended flows of the
+    # limit_study.ini schedule make at the bench draws' 1201 rows: both
+    # sides, so both signs, per window width
+    calls = []
+    real = regularize._first_crossing
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regularize, "_first_crossing",
+                   lambda *a: calls.append(a) or real(*a))
+        for eps in (1e-2, 2.5e-3, 6.25e-4):
+            params = regularize.RegularizationParams(eps, math.sqrt(eps))
+            regularize.blended_fan(m_burgers, "0-tanh(2*x)", params, 1.0,
+                                   0.0, 0.5, n_rows=1201)
+    return calls
+
+
+def test_first_crossing_in_blocks_matches_one_array(crossing_calls):
+    assert sorted({a[3] for a in crossing_calls}) == [-1.0, 1.0]
+    for labs, vs, edge_fn, sign, T in crossing_calls:
+        assert labs.size > regularize.CROSSING_BLOCK
+        new = regularize._first_crossing(labs, vs, edge_fn, sign, T)
+        assert np.array_equal(new, _old_first_crossing(labs, vs, edge_fn,
+                                                       sign, T))
+        assert np.isfinite(new).any()
+    # one block of rows that never cross, one row already across at t = 0,
+    # then the left side's rows; and no rows at all
+    _, _, edge_fn, sign, T = next(a for a in crossing_calls if a[3] > 0)
+    block = regularize.CROSSING_BLOCK
+    x_e = float(edge_fn(0.0))
+    labs = np.concatenate([np.linspace(-3.0, -2.5, block), [x_e + 0.1],
+                           np.linspace(-3.0, x_e - 0.01, 200)])
+    vs = np.concatenate([np.full(block, -1.0), [0.0],
+                         -np.tanh(2.0 * labs[block + 1:])])
+    new = regularize._first_crossing(labs, vs, edge_fn, sign, T)
+    assert np.array_equal(new, _old_first_crossing(labs, vs, edge_fn,
+                                                   sign, T))
+    assert np.all(np.isinf(new[:block])) and new[block] == 0.0
+    assert np.isfinite(new[block + 1:]).any()
+    empty = np.array([])
+    assert regularize._first_crossing(empty, empty, edge_fn, sign, T).size == 0
+
+
+def test_first_crossing_memory_is_one_block(crossing_calls):
+    # 1,200 rows of the left side's data: the one-array formula traced about
+    # 23 MB here, a block of 64 rows about 1 MB
+    _, _, edge_fn, sign, T = next(a for a in crossing_calls if a[3] > 0)
+    labs = np.linspace(-3.0, float(edge_fn(0.0)) - 0.01, 1200)
+    vs = -np.tanh(2.0 * labs)
+    tracemalloc.start()
+    try:
+        new = regularize._first_crossing(labs, vs, edge_fn, sign, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
+    assert np.array_equal(new, _old_first_crossing(labs, vs, edge_fn,
+                                                   sign, T))
