@@ -128,21 +128,43 @@ def hamiltonian_rhs(m):
     """RHS closure for the characteristic + variational + transport system
     on a state array with one row per field of ``_FIELDS``; the symbol is
     autonomous and every operation is label-local, so the closure takes no
-    time and the columns need not be one fan's labels."""
+    time and the columns need not be one fan's labels.  Each call takes
+    the symbol's six derivatives in one pass (`symbol.derivatives`)."""
 
     def rhs(y):
         x, p, _, J, dp, _ = y
-        Pp = symbol.eval_dP_dp(m, x, p)
-        Px = symbol.eval_dP_dx(m, x, p)
-        Ppp = symbol.eval_hess(m, x, p)
-        Pxp = symbol.eval_d2P_dxdp(m, x, p)
-        Pxx = symbol.eval_d2P_dx2(m, x, p)
-        P = symbol.eval_P(m, x, p)
-        # the last row is damping(m, x, p) with Pxp reused
-        return np.array((Pp, -Px, p * Pp - P, Pxp * J + Ppp * dp,
-                         -Pxx * J - Pxp * dp, -Pxp + np.zeros_like(x)))
+        Pp, Px, Ppp, Pxp, Pxx, P = symbol.derivatives(m, x, p)
+        # rows Pp, -Px, p*Pp - P, Pxp*J + Ppp*dp, -Pxx*J - Pxp*dp and
+        # damping(m, x, p) with Pxp reused, each written in place
+        out = np.empty(y.shape)
+        out[0] = Pp
+        np.negative(Px, out=out[1])
+        np.subtract(np.multiply(p, Pp, out=out[2]), P, out=out[2])
+        np.add(np.multiply(Pxp, J, out=out[3]), Ppp * dp, out=out[3])
+        np.subtract(np.multiply(np.negative(Pxx), J, out=out[4]), Pxp * dp,
+                    out=out[4])
+        np.add(np.negative(Pxp), 0.0, out=out[5])
+        return out
 
     return rhs
+
+
+def _rk4(rhs, y, steps, k1, stage, acc, out):
+    """The RK4 step of `rk4_step` from y with first stage k1, written to
+    ``out``; ``steps`` holds h/2, h and h/6, numbers or arrays that
+    broadcast against y, and ``stage`` and ``acc`` are work arrays shaped
+    like y."""
+    hh, h, h6 = steps
+    np.add(y, np.multiply(hh, k1, out=stage), out=stage)
+    k2 = rhs(stage)
+    np.add(y, np.multiply(hh, k2, out=stage), out=stage)
+    k3 = rhs(stage)
+    np.add(y, np.multiply(h, k3, out=stage), out=stage)
+    k4 = rhs(stage)
+    np.add(k1, np.multiply(2, k2, out=acc), out=acc)
+    np.add(acc, np.multiply(2, k3, out=stage), out=acc)
+    np.add(acc, k4, out=acc)
+    return np.add(y, np.multiply(h6, acc, out=acc), out=out)
 
 
 def rk4_step(rhs, y, h, k1=None):
@@ -150,27 +172,48 @@ def rk4_step(rhs, y, h, k1=None):
     one step per column, and ``k1`` may be given as ``rhs(y)``."""
     if k1 is None:
         k1 = rhs(y)
-    k2 = rhs(y + 0.5 * h * k1)
-    k3 = rhs(y + 0.5 * h * k2)
-    k4 = rhs(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return _rk4(rhs, y, (0.5 * h, h, h / 6.0), k1, np.empty(y.shape),
+                np.empty(y.shape), np.empty(y.shape))
+
+
+# work arrays of the last width `monitored_step` ran at; a call takes them
+# out while it runs, so a nested or concurrent step never shares them
+_STEP_WORK = {}
 
 
 def monitored_step(rhs, t, y, h):
     """One RK4 step advanced as two half steps, rejected if the step-doubling
     estimate against the single full step exceeds ``STEP_TOL``.  The full
     step and the first half step share k1 and run side by side as one step
-    over the columns twice over: 8 RHS calls instead of 12."""
+    over the columns twice over: 8 RHS calls instead of 12.  Stage states,
+    step factors and sums go to work arrays kept across the steps of one
+    width; the state returned is a new array."""
     n = y.shape[1]
+    w = _STEP_WORK.pop(n, None)
+    if w is None:
+        w = (np.empty((8, y.shape[0], 2 * n)), np.empty((3,) + y.shape))
+    y2, k12, stage2, acc2, both, *steps = w[0]
+    stage, acc, dev = w[1]
     k1 = rhs(y)
-    both = rk4_step(rhs, np.hstack((y, y)), np.repeat((h, 0.5 * h), n),
-                    np.hstack((k1, k1)))
-    two = rk4_step(rhs, both[:, n:], 0.5 * h)
-    dev = np.max(np.abs(both[:, :n] - two) / (1.0 + np.abs(two)), axis=1)
-    err = max([0.0] + dev.tolist())  # worst field; a NaN one is skipped
+    y2[:, :n] = y2[:, n:] = y
+    k12[:, :n] = k12[:, n:] = k1
+    # h/2, h and h/6 of the full step on the first n columns, of the half
+    # step on the last n
+    halved = (0.5 * (0.5 * h), 0.5 * h, (0.5 * h) / 6.0)
+    for step, f, g in zip(steps, (0.5 * h, h, h / 6.0), halved):
+        step[:, :n], step[:, n:] = f, g
+    _rk4(rhs, y2, steps, k12, stage2, acc2, both)
+    half = both[:, n:]
+    two = _rk4(rhs, half, halved, rhs(half), stage, acc, np.empty(y.shape))
+    np.abs(np.subtract(both[:, :n], two, out=dev), out=dev)
+    np.divide(dev, np.add(1.0, np.abs(two, out=acc), out=acc), out=dev)
+    # worst field; a NaN one is skipped
+    err = max([0.0] + dev.max(axis=1).tolist())
     if err > STEP_TOL:
         raise StepSizeError(f"local error {err:.3e} exceeds {STEP_TOL:.1e} "
                             f"at t={t:.6g}; reduce h_t")
+    _STEP_WORK.clear()
+    _STEP_WORK[n] = w
     return two
 
 

@@ -246,8 +246,7 @@ def as_expression(src):
 
 
 def _check_finite(value, what):
-    ok = np.all(np.isfinite(value))
-    if not ok:
+    if not np.isfinite(value).all():
         raise EvalDomainError(f"non-finite value from {what}")
     return value
 

@@ -3,7 +3,10 @@
 A model is P(x, p) = A(x) p^2 + V(x) + sum_k lambda_k(x) (e^{p nu_k} - 1),
 with coefficient fields given as parsed expressions in x.  Derivatives in p
 are analytic; derivatives in x are exact too, taken symbolically from the
-coefficient expressions (``expr.diff``).
+coefficient expressions (``expr.diff``).  Every derivative comes from one
+formula over evaluated coefficients (`_p_derivative`): the ``eval_*``
+functions give one derivative each, and `derivatives` all six from one
+evaluation of each field, as a fan's RHS needs them.
 """
 
 from dataclasses import dataclass, field
@@ -65,54 +68,68 @@ def make_symbol(A="0", V="0", jumps=()):
 
 
 def _coef(e, x):
+    """A coefficient field at x; a field that is a number is returned
+    without an evaluation."""
+    value = expr.constant_value(e)
+    if value is not None:
+        return value
     return expr.evaluate(e, x=x)
 
 
-def _guard_p(m, p):
-    for j in m.jumps:
-        if np.any(np.abs(p * j.nu) > EXP_GUARD):
+def _guarded_exps(m, p):
+    """exp(p*nu_k) for every jump, once |p*nu_k| <= EXP_GUARD holds for
+    each."""
+    pnu = [p * j.nu for j in m.jumps]
+    for j, a in zip(m.jumps, pnu):
+        if (np.abs(a) > EXP_GUARD).any():
             raise RangeError(f"|p*nu| exceeds {EXP_GUARD:g} for nu={j.nu:g}")
+    return [np.exp(a) for a in pnu]
 
 
 def _dx(e, x):
-    """Exact d/dx of a coefficient field; a derivative that folds to a
-    number is returned without an evaluation."""
-    d = expr.diff(e)
-    value = expr.constant_value(d)
-    if value is not None:
-        return value
-    return expr.evaluate(d, x=x)
+    """Exact d/dx of a coefficient field at x."""
+    return _coef(expr.diff(e), x)
 
 
 def _dxx(e, x):
     return _dx(expr.diff(e), x)
 
 
-def _p_derivative(m, x, p, coef, order):
-    """d^order P / dp^order (order 0, 1 or 2) with every coefficient field
-    mapped through ``coef(e, x)``: its value or one of its x-derivatives."""
-    _guard_p(m, p)
+def _p_derivative(m, p, a, v, lams, exps, order):
+    """d^order P / dp^order (order 0, 1 or 2) from evaluated coefficients:
+    ``a``, ``v`` and the rates ``lams`` are A, V and lambda_k or the same
+    x-derivative of each (``v`` is read at order 0 only), and ``exps`` the
+    values exp(p*nu_k)."""
     if order == 0:
-        out = coef(m.A, x) * p * p + coef(m.V, x)
+        out = a * p * p + v
     elif order == 1:
-        out = 2.0 * coef(m.A, x) * p
+        out = 2.0 * a * p
     else:
-        out = 2.0 * coef(m.A, x)
-    for j in m.jumps:
-        w = coef(j.lam, x)
+        out = 2.0 * a
+    for j, w, e in zip(m.jumps, lams, exps):
         for _ in range(order):
             w = w * j.nu
-        e = np.exp(p * j.nu)
         out = out + w * (e - 1.0 if order == 0 else e)
     return out
 
 
+def _derivative(m, x, p, coef, order):
+    """d^order P / dp^order with every coefficient field mapped through
+    ``coef(e, x)``: its value or one of its x-derivatives.  V is evaluated
+    only at order 0."""
+    exps = _guarded_exps(m, p)
+    a = coef(m.A, x)
+    v = coef(m.V, x) if order == 0 else None
+    lams = [coef(j.lam, x) for j in m.jumps]
+    return _p_derivative(m, p, a, v, lams, exps, order)
+
+
 def eval_P(m, x, p):
-    return _p_derivative(m, x, p, _coef, 0)
+    return _derivative(m, x, p, _coef, 0)
 
 
 def eval_dP_dp(m, x, p):
-    return _p_derivative(m, x, p, _coef, 1)
+    return _derivative(m, x, p, _coef, 1)
 
 
 def eval_hess(m, x, p):
@@ -121,20 +138,44 @@ def eval_hess(m, x, p):
     Result shape follows numpy broadcasting; a constant diffusion with no
     jumps yields a scalar even for array arguments.
     """
-    return _p_derivative(m, x, p, _coef, 2)
+    return _derivative(m, x, p, _coef, 2)
 
 
 def eval_dP_dx(m, x, p):
-    return _p_derivative(m, x, p, _dx, 0)
+    return _derivative(m, x, p, _dx, 0)
 
 
 def eval_d2P_dxdp(m, x, p):
     """Mixed derivative; its negative is the zero-order transport coefficient."""
-    return _p_derivative(m, x, p, _dx, 1)
+    return _derivative(m, x, p, _dx, 1)
 
 
 def eval_d2P_dx2(m, x, p):
-    return _p_derivative(m, x, p, _dxx, 0)
+    return _derivative(m, x, p, _dxx, 0)
+
+
+def derivatives(m, x, p):
+    """(P_p, P_x, P_pp, P_xp, P_xx, P) at (x, p) in one pass: the values
+    of the six ``eval_*`` calls, bit for bit, with p guarded once, each
+    exp(p*nu_k) formed once and each coefficient field, its d/dx and its
+    d2/dx2 evaluated once.  The fields are evaluated in the order the six
+    calls first reach them (A, lambda_k; A', V', lambda_k'; A'', V'',
+    lambda_k''; V), so a field that cannot be evaluated raises the same
+    first error."""
+    exps = _guarded_exps(m, p)
+    a = _coef(m.A, x)
+    lams = [_coef(j.lam, x) for j in m.jumps]
+    da, dv = _dx(m.A, x), _dx(m.V, x)
+    dlams = [_dx(j.lam, x) for j in m.jumps]
+    dda, ddv = _dxx(m.A, x), _dxx(m.V, x)
+    ddlams = [_dxx(j.lam, x) for j in m.jumps]
+    v = _coef(m.V, x)
+    return (_p_derivative(m, p, a, None, lams, exps, 1),
+            _p_derivative(m, p, da, dv, dlams, exps, 0),
+            _p_derivative(m, p, a, None, lams, exps, 2),
+            _p_derivative(m, p, da, None, dlams, exps, 1),
+            _p_derivative(m, p, dda, ddv, ddlams, exps, 0),
+            _p_derivative(m, p, a, v, lams, exps, 0))
 
 
 def jump_speed(m, x, p_l, p_r):

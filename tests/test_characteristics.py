@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tunnelshock import characteristics as ch
-from tunnelshock import cli
+from tunnelshock import cli, expr, symbol
 from tunnelshock.textio import write_csv
 from tunnelshock.symbol import make_symbol
 
@@ -163,6 +163,178 @@ def test_monitored_step_is_full_half_half_in_8_rhs_calls():
     assert np.array_equal(out, two)
     assert calls == [(6, n)] + [(6, 2 * n)] * 3 + [(6, n)] * 4
     assert not np.array_equal(full, two)  # the error estimate is not void
+
+
+def _six_call_rhs(m):
+    # the RHS before the one pass: six symbol calls, each evaluating its
+    # coefficient fields, guarding p and forming exp(p*nu) again
+    def rhs(y):
+        x, p, _, J, dp, _ = y
+        Pp = symbol.eval_dP_dp(m, x, p)
+        Px = symbol.eval_dP_dx(m, x, p)
+        Ppp = symbol.eval_hess(m, x, p)
+        Pxp = symbol.eval_d2P_dxdp(m, x, p)
+        Pxx = symbol.eval_d2P_dx2(m, x, p)
+        P = symbol.eval_P(m, x, p)
+        return np.array((Pp, -Px, p * Pp - P, Pxp * J + Ppp * dp,
+                         -Pxx * J - Pxp * dp, -Pxp + np.zeros_like(x)))
+
+    return rhs
+
+
+def _alloc_rk4_step(rhs, y, h, k1=None):
+    # the RK4 step before its work arrays: every stage a new array
+    if k1 is None:
+        k1 = rhs(y)
+    k2 = rhs(y + 0.5 * h * k1)
+    k3 = rhs(y + 0.5 * h * k2)
+    k4 = rhs(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _alloc_monitored_step(rhs, t, y, h):
+    n = y.shape[1]
+    k1 = rhs(y)
+    both = _alloc_rk4_step(rhs, np.hstack((y, y)),
+                           np.repeat((h, 0.5 * h), n), np.hstack((k1, k1)))
+    two = _alloc_rk4_step(rhs, both[:, n:], 0.5 * h)
+    dev = np.max(np.abs(both[:, :n] - two) / (1.0 + np.abs(two)), axis=1)
+    err = max([0.0] + dev.tolist())
+    if err > ch.STEP_TOL:
+        raise ch.StepSizeError(f"local error {err:.3e} exceeds "
+                               f"{ch.STEP_TOL:.1e} at t={t:.6g}; reduce h_t")
+    return two
+
+
+def _alloc_fan_states(m, S0, x0, T, h):
+    # the state after every step, from the six-call RHS and the allocating
+    # step; a failing step ends the list with its exception
+    S0 = expr.parse(S0)
+    dS0 = expr.diff(S0)
+    y = np.stack((x0, expr.evaluate_at(dS0, x0), expr.evaluate_at(S0, x0),
+                  np.ones_like(x0), expr.evaluate_at(expr.diff(dS0), x0),
+                  np.zeros_like(x0)))
+    states, rhs = [y], _six_call_rhs(m)
+    for k in range(int(round(T / h))):
+        try:
+            states.append(_alloc_monitored_step(rhs, k * h, states[-1], h))
+        except ValueError as ex:
+            return states + [ex]
+    return states
+
+
+_ONE_PASS_SYMBOLS = {
+    "x-dependent A": ("0.3*(1+0.2*sin(x))", "0", ()),
+    "potential": ("0.5", "0.5*x^2", ()),
+    "two jumps": ("0.2", "0.1*cos(x)", ((1.0, "1+0.5*cos(x)"), (-0.5, "0.7"))),
+    "zero potential": ("0.5", "0*x^2", ()),
+}
+
+
+@pytest.mark.parametrize("kind", list(_ONE_PASS_SYMBOLS))
+def test_one_pass_rhs_is_the_six_call_rhs(monkeypatch, kind):
+    A, V, jumps = _ONE_PASS_SYMBOLS[kind]
+    m = make_symbol(A=A, V=V, jumps=jumps)
+    rng = np.random.default_rng(7)
+    n = 64
+    y = rng.uniform(-2.0, 2.0, size=(6, n))
+    y[1, :4] = (0.0, -0.0, 0.0, -0.0)  # p on both signed zeros
+    y[3, 4:8] = -0.0
+    y[4, 8:12] = 0.0
+    want = _six_call_rhs(m)(y)
+    evaluated, exps = [], []
+    evaluate, exp = expr.evaluate, np.exp
+
+    def counted_evaluate(e, x=None):
+        evaluated.append(e.source)
+        return evaluate(e, x=x)
+
+    def counted_exp(a):
+        exps.append(a.shape)
+        return exp(a)
+
+    monkeypatch.setattr(expr, "evaluate", counted_evaluate)
+    monkeypatch.setattr(np, "exp", counted_exp)
+    got = ch.hamiltonian_rhs(m)(y)
+    monkeypatch.undo()
+    for f, w, g in zip(ch._FIELDS, want, got):
+        assert g.tobytes() == w.tobytes(), f
+    # each field, d/dx and d2/dx2 evaluated at most once, one exp per jump
+    assert evaluated and max(evaluated.count(s) for s in evaluated) == 1
+    assert exps == [(n,)] * len(jumps)
+
+
+@pytest.mark.parametrize("m, S0, x0, T, h, error", [
+    # A's log is not finite once a characteristic crosses x = 0
+    (make_symbol(A="0.5 + 0*log(x)"), "-x", np.linspace(0.1, 0.5, 9), 0.5,
+     0.01, "non-finite value from log()"),
+    # a rate's log fails before V's power: rates come first in the RHS
+    (make_symbol(A="0.5", V="0.5*x^2 + 0*x^0.5",
+                 jumps=[(1.0, "0.3 + 0*log(x)")]),
+     "-x", np.linspace(0.1, 0.5, 9), 0.5, 0.01, "non-finite value from log()"),
+    # p driven past the exp guard, on the first jump and on the second
+    (make_symbol(A="0.5", V="-10*x", jumps=[(1.0, "0.5")]), "699.5*x",
+     np.linspace(-0.5, 0.5, 9), 0.1, 1e-3, "for nu=1"),
+    (make_symbol(A="0.5", V="10*x", jumps=[(1.0, "0.5"), (-2.0, "0.2")]),
+     "-349.75*x", np.linspace(-0.5, 0.5, 9), 0.1, 1e-3, "for nu=-2"),
+])
+def test_failing_fan_raises_the_six_call_error_at_its_step(monkeypatch, m, S0,
+                                                           x0, T, h, error):
+    # the one pass evaluates the fields in the order the six calls first
+    # reached them, so a fan fails with the same error at the same step
+    *states, want = _alloc_fan_states(m, S0, x0, T, h)
+    assert isinstance(want, (expr.EvalDomainError, symbol.RangeError))
+    assert error in str(want) and 1 < len(states) < round(T / h)
+    steps = []
+    step = ch.monitored_step
+
+    def counted_step(rhs, t, y, h):
+        steps.append(y)
+        return step(rhs, t, y, h)
+
+    monkeypatch.setattr(ch, "monitored_step", counted_step)
+    with pytest.raises(type(want)) as got:
+        ch.integrate_fan(m, S0, x0, T=T, h_t=h)
+    assert str(got.value) == str(want)
+    assert len(steps) == len(states)
+    assert steps[-1].tobytes() == states[-1].tobytes()
+
+
+def test_step_work_arrays_never_leak_into_states():
+    # x-dependent diffusion, potential and jump rate: every RHS term is live
+    m = make_symbol(A="0.3*(1+0.2*sin(x))", V="0.5*x^2",
+                    jumps=[(1.0, "1+0.5*cos(x)"), (-0.5, "0.7")])
+    x0, T, h = np.linspace(-1.5, 1.5, 41), 0.2, 0.01
+    want = _alloc_fan_states(m, "log(sech(x))", x0, T, h)
+    # every returned state kept: none may be a work array a later step
+    # overwrites
+    rhs, states = ch.hamiltonian_rhs(m), [want[0]]
+    for k in range(len(want) - 1):
+        states.append(ch.monitored_step(rhs, k * h, states[-1], h))
+    for w, g in zip(want, states):
+        assert g.tobytes() == w.tobytes()
+    fan = ch.integrate_fan(m, "log(sech(x))", x0, T=T, h_t=h, store_every=1)
+    for i, f in enumerate(ch._FIELDS):
+        assert getattr(fan, f).tobytes() \
+            == np.stack([w[i] for w in want]).tobytes(), f
+
+    # fans of another width and of the same width integrated between two
+    # steps of the first leave all three as they are alone
+    def run(x0, on_store=None):
+        return ch.integrate_fan(m, "log(sech(x))", x0, T=T, h_t=h,
+                                store_every=2, on_store=on_store)
+
+    inner = []
+
+    def nested(i):
+        if i == 3:
+            inner.extend((run(np.linspace(-1.0, 1.0, 17)), run(x0)))
+
+    outer = run(x0, nested)
+    for got, alone in zip((outer, *inner),
+                          (run(x0), run(np.linspace(-1.0, 1.0, 17)), run(x0))):
+        for f in ch._FIELDS:
+            assert getattr(got, f).tobytes() == getattr(alone, f).tobytes()
 
 
 # x-free symbols as (A, V, jumps), each with the field that gets "+ x*0"
